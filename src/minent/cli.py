@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -68,7 +69,7 @@ def _cmd_setcover(args) -> tuple[dict, dict]:
     else:  # certify
         cover, trace = setcover.greedy_cover(system)
         cert = setcover.dual_certificate(system, trace)
-        fr = setcover.verify_dual_feasibility(system, cert, seed=args.seed)
+        fr = setcover.verify_dual_feasibility(system, cert)
         sum_y = math.fsum(cert.y)
         report.update(entropy_bits=setcover.cover_entropy(system, cover),
                       counts=list(cover.induced_counts),
@@ -196,7 +197,9 @@ def _cmd_app(args) -> tuple[dict, dict]:
     return report, checks
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing does not modify it."""
     parser = argparse.ArgumentParser(
         prog="minent",
         description="Minimum entropy combinatorial optimization solvers")

@@ -6,7 +6,7 @@ import pytest
 
 from minent.core import BudgetError, FeasibilityError, SetSystem
 from minent.io import random_setcover
-from minent.setcover import (LOG2_E, CoverAssignment, cover_entropy,
+from minent.setcover import (LOG2_E, CoverAssignment, DualCertificate, cover_entropy,
                              dual_certificate, exact_cover, greedy_cover,
                              likelihood, verify_dual_feasibility)
 
@@ -125,7 +125,7 @@ def test_dual_feasibility_exhaustive_on_worked_instance():
     _, trace = greedy_cover(WORKED)
     cert = dual_certificate(WORKED, trace)
     report = verify_dual_feasibility(WORKED, cert)
-    assert report.checked == 2 ** 3 + 2 ** 2 + 2 ** 1
+    assert report.checked == 3 + 2 + 1
     assert report.violations == ()
 
 
@@ -141,6 +141,53 @@ def test_dual_feasibility_property():
         s = random_setcover(rng.randrange(1, 11), rng.randrange(1, 6), seed=seed)
         cert = dual_certificate(s, greedy_cover(s)[1])
         assert verify_dual_feasibility(s, cert).violations == ()
+
+
+def test_dual_feasibility_finds_violation_only_at_full_size():
+    # y is far below every right-hand side except at |T| = 24 = n, where the
+    # right-hand side is 0 and the sum of y is positive.
+    s = SetSystem(24, [list(range(24))])
+    report = verify_dual_feasibility(s, DualCertificate((1e-9,) * 24, 0.0))
+    assert report.checked == 24
+    assert [v["subset"] for v in report.violations] == [tuple(range(24))]
+    assert report.violations[0]["rhs"] == 0.0
+    assert report.min_slack == pytest.approx(-24e-9)
+
+
+def _brute_force_violations(s, y):
+    """(size, largest y-sum) of each violated (set, size) pair, in set then
+    size order, by enumerating every subset."""
+    n = s.universe_size
+    found = []
+    for members in s.sets:
+        for t in range(1, len(members) + 1):
+            rhs = -(t / n) * math.log2(t / n)
+            lhs = max(math.fsum(y[v] for v in sub)
+                      for sub in itertools.combinations(members, t))
+            if lhs > rhs + 1e-9:
+                found.append((t, lhs))
+    return found
+
+
+def test_dual_feasibility_matches_brute_force():
+    # Odd seeds shift y by up to 3/n, which violates about half of them.
+    violated = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        s = random_setcover(rng.randrange(1, 13), rng.randrange(1, 6), seed=seed)
+        n = s.universe_size
+        y = [v + rng.uniform(-1, 3) / n * (seed % 2)
+             for v in dual_certificate(s, greedy_cover(s)[1]).y]
+        report = verify_dual_feasibility(s, DualCertificate(tuple(y), 0.0))
+        expected = _brute_force_violations(s, y)
+        assert [len(v["subset"]) for v in report.violations] == [t for t, _ in expected]
+        for v, (_, lhs) in zip(report.violations, expected):
+            assert v["lhs"] == pytest.approx(lhs, abs=1e-12)
+            assert math.fsum(y[u] for u in v["subset"]) == pytest.approx(lhs, abs=1e-12)
+        assert report.checked == sum(map(len, s.sets))
+        assert (report.min_slack < -1e-9) == bool(expected)
+        violated += bool(expected)
+    assert violated >= 50
 
 
 def test_likelihood_identity():
