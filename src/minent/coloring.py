@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 
 from .core import (BudgetError, FeasibilityError, Graph, IntervalSet,
                    ValidationError, entropy_of_counts, intervals_intersect,
-                   max_point_depth)
+                   max_point_depth, xlog2x_table)
 
 LOG2_E = math.log2(math.e)
 
@@ -164,9 +164,7 @@ def exact_coloring(g: Graph, limit: int = 12) -> Coloring:
         raise ValidationError("empty graph has no coloring")
     adj = g.adjacency_masks()
 
-    xlog = [0.0] * (n + 1)
-    for c in range(2, n + 1):
-        xlog[c] = c * math.log2(c)
+    xlog = xlog2x_table(n)
     log2n = math.log2(n)
 
     # Seed the incumbent entropy from an unweighted greedy coloring; the
@@ -186,9 +184,7 @@ def exact_coloring(g: Graph, limit: int = 12) -> Coloring:
         if not class_counts:
             return 0.0
         cmax = max(class_counts)
-        acc = -xlog[cmax]
-        big = cmax + remaining
-        acc += big * math.log2(big)
+        acc = xlog[cmax + remaining] - xlog[cmax]
         acc += sum(xlog[c] for c in class_counts)
         return log2n - acc / n
 

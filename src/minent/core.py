@@ -26,6 +26,12 @@ def _xlog2x(x: float) -> float:
     return 0.0 if x == 0 else x * math.log2(x)
 
 
+def xlog2x_table(n: int) -> list[float]:
+    """[c * log2(c) for c in 0..n], with 0 log 0 := 0: the per-count term of
+    entropy_of_counts, tabulated for the exact oracles' searches."""
+    return [_xlog2x(c) for c in range(n + 1)]
+
+
 class Graph:
     """Immutable undirected simple graph with optional vertex weights.
 

@@ -56,7 +56,10 @@ def parse_graph(text: str) -> Graph:
         toks = raw.split()
         if toks[0] != "weights" or len(toks) != n + 1:
             raise ParseError(f"expected 'weights' line with {n} reals", wln)
-        weights = [float(t) for t in toks[1:]]
+        try:
+            weights = [float(t) for t in toks[1:]]
+        except ValueError:
+            raise ParseError("non-real vertex weight", wln)
     try:
         return Graph(n, edges, weights)
     except ValidationError as exc:
@@ -80,7 +83,10 @@ def parse_setcover(text: str) -> SetSystem:
     parts = header.split()
     if len(parts) != 3:
         raise ParseError("expected header 'setcover <n> <k>'", ln)
-    n, k = int(parts[1]), int(parts[2])
+    try:
+        n, k = int(parts[1]), int(parts[2])
+    except ValueError:
+        raise ParseError("non-integer setcover header", ln)
     if len(lines) != k + 1:
         raise ParseError(f"expected {k} set lines", ln)
     sets = []
@@ -120,7 +126,10 @@ def parse_intervals(text: str) -> IntervalSet:
     parts = header.split()
     if len(parts) != 2:
         raise ParseError("expected header 'intervals <n>'", ln)
-    n = int(parts[1])
+    try:
+        n = int(parts[1])
+    except ValueError:
+        raise ParseError("non-integer intervals header", ln)
     if len(lines) != n + 1:
         raise ParseError(f"expected {n} interval lines", ln)
     ivs = []

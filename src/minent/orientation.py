@@ -1,5 +1,5 @@
 """Minimum entropy orientation: biased orientations (additive +1 bit), the
-exhaustive oracle, and the constant-time sampling estimator."""
+branch-and-bound exact oracle, and the constant-time sampling estimator."""
 
 from __future__ import annotations
 
@@ -8,9 +8,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .core import BudgetError, FeasibilityError, Graph, ValidationError
+from .core import (BudgetError, FeasibilityError, Graph, ValidationError,
+                   entropy_of_counts, xlog2x_table)
 
 
 @dataclass(frozen=True)
@@ -53,21 +52,9 @@ def orientation_entropy(g: Graph, o: Orientation) -> float:
     """Entropy (bits) of {indegree(v)/m} over vertices of positive indegree."""
     if g.m == 0:
         raise ValidationError("graph has no edges to orient")
-    _check(g, o)
-    m = g.m
-    return math.log2(m) - math.fsum(r * math.log2(r) for r in o.indegrees if r) / m
-
-
-def _check(g: Graph, o: Orientation) -> None:
-    if len(o.direction) != g.m or len(o.indegrees) != g.n:
-        raise FeasibilityError("orientation shape mismatch")
-    indeg = [0] * g.n
-    for (u, v), (tail, head) in zip(g.edges, o.direction):
-        if {tail, head} != {u, v}:
-            raise FeasibilityError("orientation does not match edge list")
-        indeg[head] += 1
-    if tuple(indeg) != o.indegrees:
+    if Orientation.from_directions(g, o.direction).indegrees != o.indegrees:
         raise FeasibilityError("indegrees inconsistent with directions")
+    return entropy_of_counts(o.indegrees)
 
 
 def _edge_head(g: Graph, u: int, v: int, pos: Sequence[int]) -> int:
@@ -100,31 +87,70 @@ def biased_orientation(g: Graph, order: Optional[Sequence[int]] = None) -> Orien
 
 
 def exact_orientation(g: Graph, limit: int = 2 ** 22) -> Orientation:
-    """Minimum-entropy orientation by exhaustive enumeration of all 2^m
-    direction vectors; returns the lexicographically smallest optimum
-    (bit 0 for edge j meaning u->v with u < v)."""
+    """Minimum-entropy orientation by depth-first branch and bound over the
+    edges in order. Edge (u, v), u < v, is tried as u->v (bit 0) before v->u
+    (bit 1), so direction vectors are met in lexicographic order.
+
+    The search maximises S = sum_w r_w log2 r_w over the indegrees r, since
+    H = log2 m - S/m. A subtree's upper bound on S is a fractional knapsack
+    over its undecided edges: a vertex with indegree d and `rest` undecided
+    edges takes up to `rest` of them at the secant slope
+    (f(d + rest) - f(d)) / rest, f(x) = x log2 x, which bounds its gain
+    because f is convex. The incumbent starts 1e-9 below the biased
+    orientation's S, so the search must still reach an optimum itself, and
+    is replaced only by an S more than 1e-12 m higher: ties go to the
+    lexicographically smallest optimum. `limit` caps 2^m, checked before the
+    search starts."""
     m = g.m
     if m == 0:
         raise ValidationError("graph has no edges to orient")
     if 2 ** m > limit:
         raise BudgetError(f"2^{m} orientations exceed budget {limit}")
-    masks = np.arange(1 << m, dtype=np.int64)
-    indeg = np.zeros((1 << m, g.n), dtype=np.int16)
-    # bit (m-1-j) encodes edge j so that integer order == lex order on bits
-    for j, (u, v) in enumerate(g.edges):
-        bits = (masks >> (m - 1 - j)) & 1
-        indeg[:, v] += (1 - bits).astype(np.int16)
-        indeg[:, u] += bits.astype(np.int16)
-    table = np.zeros(g.n + 1)
-    for r in range(2, g.n + 1):
-        table[r] = r * math.log2(r)
-    h = math.log2(m) - table[indeg].sum(axis=1) / m
-    best = int(np.where(h <= h.min() + 1e-12)[0][0])
-    direction = []
-    for j, (u, v) in enumerate(g.edges):
-        bit = (best >> (m - 1 - j)) & 1
-        direction.append((v, u) if bit else (u, v))
-    return Orientation.from_directions(g, direction)
+    edges = g.edges
+    xlog = xlog2x_table(m)
+    indeg = [0] * g.n
+    rest = [g.degree(w) for w in range(g.n)]
+    heads = [0] * m
+    tol = 1e-12 * m
+    best_s = sum(xlog[r] for r in biased_orientation(g).indegrees) - 1e-9
+    best = None
+
+    def gain_bound(left: int) -> float:
+        slopes = sorted((((xlog[d + r] - xlog[d]) / r, r)
+                         for d, r in zip(indeg, rest) if r), reverse=True)
+        gain = 0.0
+        for slope, r in slopes:
+            take = min(r, left)
+            gain += slope * take
+            left -= take
+            if not left:
+                break
+        return gain
+
+    def recurse(j: int, acc: float) -> None:
+        # acc is S over the edges decided so far.
+        nonlocal best_s, best
+        if j == m:
+            if acc > best_s + tol:
+                best_s, best = acc, tuple(heads)
+            return
+        if acc + gain_bound(m - j) <= best_s + tol:
+            return
+        u, v = edges[j]
+        rest[u] -= 1
+        rest[v] -= 1
+        for head in (v, u):
+            d = indeg[head]
+            indeg[head] = d + 1
+            heads[j] = head
+            recurse(j + 1, acc + xlog[d + 1] - xlog[d])
+            indeg[head] = d
+        rest[u] += 1
+        rest[v] += 1
+
+    recurse(0, 0.0)
+    return Orientation.from_directions(
+        g, [(u, v) if head == v else (v, u) for (u, v), head in zip(edges, best)])
 
 
 def sample_count(epsilon: float, delta: float, max_degree: int) -> int:

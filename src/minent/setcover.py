@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 from .core import (BudgetError, FeasibilityError, SetSystem, ValidationError,
-                   entropy_of_counts)
+                   entropy_of_counts, xlog2x_table)
 
 LOG2_E = math.log2(math.e)
 
@@ -62,14 +62,8 @@ def likelihood(s: SetSystem, a: CoverAssignment) -> float:
 
 
 def _check_assignment(s: SetSystem, a: CoverAssignment) -> None:
-    if len(a.assignment) != s.universe_size:
-        raise FeasibilityError("assignment length mismatch")
-    counts = [0] * s.k
-    for x, i in enumerate(a.assignment):
-        if not (0 <= i < s.k) or x not in s.sets[i]:
-            raise FeasibilityError(f"element {x} not in assigned set {i}")
-        counts[i] += 1
-    if tuple(counts) != a.induced_counts:
+    rebuilt = CoverAssignment.from_assignment(s, a.assignment)
+    if rebuilt.induced_counts != a.induced_counts:
         raise FeasibilityError("induced_counts inconsistent with assignment")
 
 
@@ -97,8 +91,17 @@ def greedy_cover(s: SetSystem) -> tuple[CoverAssignment, GreedyTrace]:
 
 
 def exact_cover(s: SetSystem, limit: int = 10 ** 7) -> CoverAssignment:
-    """Minimum-entropy assignment by exhaustive enumeration of per-element
-    set choices. Returns the lexicographically smallest optimal assignment."""
+    """Minimum-entropy assignment by depth-first branch and bound over the
+    per-element set choices: elements in index order, each element's sets in
+    ascending index order, so complete assignments are met in lexicographic
+    order.
+
+    A subtree is pruned when its envelope -- every remaining element poured
+    into the largest current count, which dominates every completion -- has
+    an entropy no more than 1e-12 below the incumbent's. The incumbent is
+    replaced only by an entropy more than 1e-12 lower, so ties go to the
+    lexicographically smallest optimal assignment. `limit` caps the number
+    of assignment combinations, checked before the search starts."""
     n = s.universe_size
     choices = [s.sets_containing(x) for x in range(n)]
     space = 1
@@ -108,35 +111,32 @@ def exact_cover(s: SetSystem, limit: int = 10 ** 7) -> CoverAssignment:
             raise BudgetError(
                 f"instance too large for oracle: >{limit} assignment combinations")
 
+    xlog = xlog2x_table(n)
+    log2n = math.log2(n)
     counts = [0] * s.k
-    assignment = [-1] * n
-    best = {"H": math.inf, "assignment": None}
-    ent_cache: dict[tuple[int, ...], float] = {}
+    assignment = [0] * n
+    best_h = math.inf
+    best = None
 
-    def leaf_entropy() -> float:
-        key = tuple(sorted(c for c in counts if c))
-        h = ent_cache.get(key)
-        if h is None:
-            h = entropy_of_counts(key)
-            ent_cache[key] = h
-        return h
-
-    def recurse(x: int) -> None:
+    def recurse(x: int, acc: float, cmax: int) -> None:
+        # acc is sum(c * log2 c) over the current counts, cmax their maximum.
+        nonlocal best_h, best
         if x == n:
-            h = leaf_entropy()
-            if h < best["H"] - 1e-12:
-                best["H"] = h
-                best["assignment"] = tuple(assignment)
+            h = log2n - acc / n
+            if h < best_h - 1e-12:
+                best_h, best = h, tuple(assignment)
+            return
+        if log2n - (acc - xlog[cmax] + xlog[cmax + n - x]) / n >= best_h - 1e-12:
             return
         for i in choices[x]:
+            c = counts[i]
+            counts[i] = c + 1
             assignment[x] = i
-            counts[i] += 1
-            recurse(x + 1)
-            counts[i] -= 1
-        assignment[x] = -1
+            recurse(x + 1, acc + xlog[c + 1] - xlog[c], max(cmax, c + 1))
+            counts[i] = c
 
-    recurse(0)
-    return CoverAssignment.from_assignment(s, best["assignment"])
+    recurse(0, 0.0, 0)
+    return CoverAssignment.from_assignment(s, best)
 
 
 def dual_certificate(s: SetSystem, t: GreedyTrace) -> DualCertificate:

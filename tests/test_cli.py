@@ -182,6 +182,20 @@ def test_cli_input_error_exit_code(tmp_path, capsys):
     assert main(["setcover", "greedy", "--input", str(tmp_path / "missing")]) == 2
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["setcover", "greedy"], "setcover x 1\n0\n"),
+    (["color", "interval"], "intervals z\n0 1\n"),
+    (["orient", "biased"], "graph 2 1\n0 1\nweights a b\n"),
+], ids=["setcover-header", "intervals-header", "graph-weights"])
+def test_cli_malformed_header_exits_2(tmp_path, capsys, argv, text):
+    f = tmp_path / "bad.txt"
+    f.write_text(text)
+    assert main(argv + ["--input", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line ")
+    assert "Traceback" not in err
+
+
 def test_cli_unknown_flag_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["setcover", "greedy", "--nope"])

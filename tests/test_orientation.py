@@ -1,10 +1,12 @@
+import itertools
 import math
 import random
 
 import pytest
 
-from minent.core import BudgetError, FeasibilityError, Graph, ValidationError
-from minent.io import random_connected_graph, random_regular_graph
+from minent.core import (BudgetError, FeasibilityError, Graph, ValidationError,
+                         entropy_of_counts)
+from minent.io import random_connected_graph, random_graph, random_regular_graph
 from minent.orientation import (EstimatorParams, Orientation,
                                 biased_orientation, estimate_entropy,
                                 exact_orientation, local_indegree,
@@ -175,3 +177,44 @@ def test_estimator_inner_sum_unbiased():
     var = math.fsum((x - mean) ** 2 for x in draws) / (seeds - 1)
     se = math.sqrt(var / seeds)
     assert abs(mean - (s / n) * pop_sum) <= 3 * se + 1e-12
+
+
+def _first_optimal_orientation(g):
+    """Enumerate every direction vector in lexicographic order (u->v before
+    v->u for edge (u, v), u < v) and return the first whose entropy is within
+    1e-12 of the minimum."""
+    scored = []
+    for bits in itertools.product((0, 1), repeat=g.m):
+        indeg = [0] * g.n
+        for (u, v), b in zip(g.edges, bits):
+            indeg[u if b else v] += 1
+        scored.append((entropy_of_counts(indeg), bits))
+    h_min = min(h for h, _ in scored)
+    bits = next(b for h, b in scored if h <= h_min + 1e-12)
+    return tuple((v, u) if b else (u, v) for (u, v), b in zip(g.edges, bits))
+
+
+def _tied_graphs():
+    """Graphs with many optimal orientations: disjoint equal cliques, cycles,
+    matchings and stars."""
+    def cliques(count, size):
+        return Graph(count * size, [(c * size + a, c * size + b) for c in range(count)
+                                    for a in range(size) for b in range(a + 1, size)])
+    yield from (cliques(count, size) for count, size in
+                [(1, 2), (1, 3), (2, 3), (3, 3), (4, 3), (1, 4), (2, 4), (1, 5)])
+    yield from (Graph(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(3, 15))
+    yield from (Graph(2 * t, [(2 * i, 2 * i + 1) for i in range(t)]) for t in range(1, 8))
+    yield from (Graph(n, [(0, i) for i in range(1, n)]) for n in range(2, 9))
+
+
+def test_exact_orientation_matches_enumeration_tie_for_tie():
+    graphs = list(_tied_graphs())
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randrange(2, 9)
+        graphs.append(random_graph(n, rng.randrange(1, min(14, n * (n - 1) // 2) + 1),
+                                   seed=seed))
+    for g in graphs:
+        o = exact_orientation(g)
+        assert o.direction == _first_optimal_orientation(g), g.edges
+        assert o == Orientation.from_directions(g, o.direction)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from minent.core import BudgetError, FeasibilityError, SetSystem
+from minent.core import BudgetError, FeasibilityError, SetSystem, entropy_of_counts
 from minent.io import random_setcover
 from minent.setcover import (LOG2_E, CoverAssignment, DualCertificate, cover_entropy,
                              dual_certificate, exact_cover, greedy_cover,
@@ -212,3 +212,40 @@ def test_likelihood_argmax_equals_entropy_argmin():
         by_lik = max(assignments, key=lambda a: likelihood(s, a))
         by_ent = min(assignments, key=lambda a: cover_entropy(s, a))
         assert likelihood(s, by_lik) == pytest.approx(likelihood(s, by_ent), abs=1e-9)
+
+
+def _first_optimal_cover(s):
+    """Walk every assignment in lexicographic order and keep the first one
+    whose entropy is more than 1e-12 below the best so far."""
+    best_h, best = math.inf, None
+    for a in itertools.product(*[s.sets_containing(x) for x in range(s.universe_size)]):
+        counts = [0] * s.k
+        for i in a:
+            counts[i] += 1
+        h = entropy_of_counts(counts)
+        if h < best_h - 1e-12:
+            best_h, best = h, a
+    return best
+
+
+def _tied_systems():
+    """Set systems with many optimal assignments: duplicated equal blocks and
+    cyclic windows."""
+    for blocks, size, copies in [(1, 4, 2), (2, 2, 2), (2, 3, 2), (3, 2, 2), (3, 3, 2),
+                                 (2, 2, 3), (4, 2, 2)]:
+        yield SetSystem(blocks * size, [list(range(b * size, (b + 1) * size))
+                                        for b in range(blocks) for _ in range(copies)])
+    for n in range(2, 10):
+        for w in (2, 3):
+            yield SetSystem(n, [sorted({(x + d) % n for d in range(w)}) for x in range(n)])
+
+
+def test_exact_cover_matches_enumeration_tie_for_tie():
+    systems = list(_tied_systems())
+    for seed in range(300):
+        rng = random.Random(seed)
+        systems.append(random_setcover(rng.randrange(1, 10), rng.randrange(1, 6), seed=seed))
+    for s in systems:
+        cover = exact_cover(s)
+        assert cover.assignment == _first_optimal_cover(s), s.sets
+        assert cover == CoverAssignment.from_assignment(s, cover.assignment)
