@@ -45,6 +45,8 @@ class JointTable:
         probs = tuple(tuple(float(p) for p in row) for row in probs)
         if len(probs) != len(x_labels) or any(len(r) != len(y_labels) for r in probs):
             raise ValidationError("probability matrix shape mismatch")
+        if not all(math.isfinite(p) for row in probs for p in row):
+            raise ValidationError("non-finite probability entry")
         if any(p < 0 for row in probs for p in row):
             raise ValidationError("negative probability entry")
         total = math.fsum(p for row in probs for p in row)

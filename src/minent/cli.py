@@ -15,19 +15,9 @@ from .core import BudgetError, FeasibilityError, ValidationError, interval_graph
 from .graphent import ConvergenceError
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _read(path: str) -> str:
-    with open(path) as f:
-        return f.read()
-
-
 def _load_graph_like(text: str):
     """A graph file, or an intervals file converted to its intersection graph."""
-    head = text.split(None, 1)[0] if text.split() else ""
-    if head == "intervals":
+    if text.split(None, 1)[:1] == ["intervals"]:
         return interval_graph(mio.parse_intervals(text))
     return mio.parse_graph(text)
 
@@ -42,73 +32,46 @@ def _emit(report: dict, as_json: bool) -> None:
         print(f"{key}: {report[key]}")
 
 
-def _base_report(args, text: str) -> dict:
-    return {
-        "command": " ".join(sys.argv[1:]) if sys.argv[1:] else "",
-        "input_digest": _digest(text),
-        "seed": getattr(args, "seed", 0),
-    }
-
-
-def _cmd_setcover(args) -> tuple[dict, dict]:
-    text = _read(args.input)
+def _cmd_setcover(args, text: str, report: dict) -> dict:
     system = mio.parse_setcover(text)
-    report = _base_report(args, text)
-    checks: dict[str, bool] = {}
-    if args.action == "greedy":
-        cover, trace = setcover.greedy_cover(system)
-        report.update(entropy_bits=setcover.cover_entropy(system, cover),
-                      counts=list(cover.induced_counts),
-                      assignment=list(cover.assignment),
-                      rounds=[[i, sorted(s)] for i, s in trace.rounds])
-    elif args.action == "exact":
+    if args.action == "exact":
         cover = setcover.exact_cover(system)
-        report.update(entropy_bits=setcover.cover_entropy(system, cover),
-                      counts=list(cover.induced_counts),
-                      assignment=list(cover.assignment))
-    else:  # certify
+    else:
         cover, trace = setcover.greedy_cover(system)
-        cert = setcover.dual_certificate(system, trace)
-        fr = setcover.verify_dual_feasibility(system, cert)
-        sum_y = math.fsum(cert.y)
-        report.update(entropy_bits=setcover.cover_entropy(system, cover),
-                      counts=list(cover.induced_counts),
-                      certificate={"y": list(cert.y), "sum_y": sum_y,
-                                   "g": cert.greedy_entropy},
-                      checked=fr.checked,
-                      violations=[v["subset"] for v in fr.violations])
-        checks["dual_feasible"] = not fr.violations
-        checks["dual_identity"] = abs(sum_y - (cert.greedy_entropy - setcover.LOG2_E)) <= 1e-9
-    return report, checks
+    report.update(entropy_bits=setcover.cover_entropy(system, cover),
+                  counts=list(cover.induced_counts))
+    if args.action == "greedy":
+        report["rounds"] = [[i, sorted(s)] for i, s in trace.rounds]
+    if args.action != "certify":
+        report["assignment"] = list(cover.assignment)
+        return {}
+    cert = setcover.dual_certificate(system, trace)
+    fr = setcover.verify_dual_feasibility(system, cert)
+    sum_y = math.fsum(cert.y)
+    report.update(certificate={"y": list(cert.y), "sum_y": sum_y, "g": cert.greedy_entropy},
+                  checked=fr.checked,
+                  violations=[v["subset"] for v in fr.violations])
+    return {"dual_feasible": not fr.violations,
+            "dual_identity": abs(sum_y - (cert.greedy_entropy - setcover.LOG2_E)) <= 1e-9}
 
 
-def _cmd_orient(args) -> tuple[dict, dict]:
-    text = _read(args.input)
+def _cmd_orient(args, text: str, report: dict) -> dict:
     g = _load_graph_like(text)
-    report = _base_report(args, text)
-    checks: dict[str, bool] = {}
-    if args.action == "biased":
-        o = orientation.biased_orientation(g)
-        report.update(entropy_bits=orientation.orientation_entropy(g, o),
-                      indegrees=list(o.indegrees),
-                      direction=[list(d) for d in o.direction])
-    elif args.action == "exact":
-        o = orientation.exact_orientation(g)
-        report.update(entropy_bits=orientation.orientation_entropy(g, o),
-                      indegrees=list(o.indegrees),
-                      direction=[list(d) for d in o.direction])
-    else:  # estimate
+    if args.action == "estimate":
         params = orientation.EstimatorParams(args.epsilon, args.delta, args.seed)
         s = orientation.sample_count(args.epsilon, args.delta, g.max_degree())
         h = orientation.estimate_entropy(g, params, one_sided=args.one_sided)
         report.update(H=h, s=s, epsilon=args.epsilon, delta=args.delta)
-    return report, checks
+        return {}
+    o = (orientation.biased_orientation(g) if args.action == "biased"
+         else orientation.exact_orientation(g))
+    report.update(entropy_bits=orientation.orientation_entropy(g, o),
+                  indegrees=list(o.indegrees),
+                  direction=[list(d) for d in o.direction])
+    return {}
 
 
-def _cmd_color(args) -> tuple[dict, dict]:
-    text = _read(args.input)
-    report = _base_report(args, text)
-    checks: dict[str, bool] = {}
+def _cmd_color(args, text: str, report: dict) -> dict:
     if args.action == "interval":
         iv = mio.parse_intervals(text)
         g = interval_graph(iv)
@@ -118,8 +81,7 @@ def _cmd_color(args) -> tuple[dict, dict]:
                       classes=col.canonical().classes(),
                       layers=[list(s) for s in layers.layers],
                       lower_bound_H=layers.lower_bound_H)
-        checks["within_one_bit"] = h <= layers.lower_bound_H + 1.0 + 1e-9
-        return report, checks
+        return {"within_one_bit": h <= layers.lower_bound_H + 1.0 + 1e-9}
     g = _load_graph_like(text)
     if args.action == "greedy":
         col = coloring.greedy_coloring(g, oracle="exact")
@@ -129,38 +91,35 @@ def _cmd_color(args) -> tuple[dict, dict]:
         col = coloring.exact_coloring(g)
     report.update(entropy_bits=coloring.coloring_entropy(g, col),
                   classes=col.canonical().classes())
-    return report, checks
+    return {}
 
 
-def _cmd_graphent(args) -> tuple[dict, dict]:
-    text = _read(args.input)
+def _cmd_graphent(args, text: str, report: dict) -> dict:
     g = _load_graph_like(text)
-    report = _base_report(args, text)
-    checks: dict[str, bool] = {}
     if args.action == "compute":
         h, w = graphent.graph_entropy(g, tol=args.tol)
         report.update(H_bits=h,
                       marginals=list(w.p),
                       support=[list(s) for s, q in zip(w.sets, w.q) if q > 1e-12])
-    elif args.action == "split":
+        return {}
+    if args.action == "split":
         gap = graphent.splitting_gap(g, tol=args.tol)
         report.update(gap_bits=gap)
-        checks["splits_entropy"] = abs(gap) <= 2 * args.tol
-    else:  # greedy-bound
-        rep = graphent.greedy_vs_entropy(g, constant=args.constant, tol=args.tol)
-        report.update(g_bits=rep.g_bits, H_bits=rep.H_bits, bound_rhs=rep.bound_rhs)
-        if rep.chromatic_entropy is not None:
-            report["chromatic_entropy"] = rep.chromatic_entropy
-        checks["greedy_bound"] = rep.bound_holds
-        if rep.chain_ok is not None:
-            checks["relaxation_chain"] = rep.chain_ok
-    return report, checks
+        return {"splits_entropy": abs(gap) <= 2 * args.tol}
+    rep = graphent.greedy_vs_entropy(g, constant=args.constant, tol=args.tol)
+    report.update(g_bits=rep.g_bits, H_bits=rep.H_bits, bound_rhs=rep.bound_rhs)
+    checks = {"greedy_bound": rep.bound_holds}
+    if rep.chromatic_entropy is not None:
+        report["chromatic_entropy"] = rep.chromatic_entropy
+    if rep.chain_ok is not None:
+        checks["relaxation_chain"] = rep.chain_ok
+    return checks
 
 
-def _cmd_gen(args) -> tuple[dict, dict]:
+def _cmd_gen(args) -> None:
     if args.action == "jk":
         print(mio.serialize_intervals(coloring.gen_jk(args.k)), end="")
-        return {}, {}
+        return
     inst = mio.gen_random(args.kind, seed=args.seed, n=args.n, m=args.m,
                           k=args.k, delta=args.delta)
     if args.kind in ("graph", "regular"):
@@ -169,13 +128,9 @@ def _cmd_gen(args) -> tuple[dict, dict]:
         print(mio.serialize_intervals(inst), end="")
     else:
         print(mio.serialize_setcover(inst), end="")
-    return {}, {}
 
 
-def _cmd_app(args) -> tuple[dict, dict]:
-    text = _read(args.input)
-    report = _base_report(args, text)
-    checks: dict[str, bool] = {}
+def _cmd_app(args, text: str, report: dict) -> dict:
     if args.action == "haplotype":
         panel = mio.parse_genotypes(text)
         system, labels = apps.haplotype_instance(panel)
@@ -184,17 +139,17 @@ def _cmd_app(args) -> tuple[dict, dict]:
                       haplotypes=labels,
                       assignment=[labels[i] for i in cover.assignment],
                       log_likelihood=setcover.likelihood(system, cover))
-    else:  # confusability
-        table = mio.parse_joint_table(text)
-        g = apps.confusability_graph(table)
-        col = (coloring.exact_coloring(g) if args.color == "exact"
-               else coloring.greedy_coloring(g))
-        report.update(edges=[[table.x_labels[u], table.x_labels[v]] for u, v in g.edges],
-                      marginals=list(g.weights),
-                      classes=[[table.x_labels[v] for v in cls]
-                               for cls in col.canonical().classes()],
-                      rate_bits=apps.code_rate(g, col))
-    return report, checks
+        return {}
+    table = mio.parse_joint_table(text)
+    g = apps.confusability_graph(table)
+    col = (coloring.exact_coloring(g) if args.color == "exact"
+           else coloring.greedy_coloring(g))
+    report.update(edges=[[table.x_labels[u], table.x_labels[v]] for u, v in g.edges],
+                  marginals=list(g.weights),
+                  classes=[[table.x_labels[v] for v in cls]
+                           for cls in col.canonical().classes()],
+                  rate_bits=apps.code_rate(g, col))
+    return {}
 
 
 @functools.cache
@@ -251,32 +206,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# handler(args, text, report): adds its results to the report, which already
+# holds `command`, `input_digest` and `seed`, and returns the checks that
+# `--assert-bound` enforces.
 _HANDLERS = {
     "setcover": _cmd_setcover,
     "orient": _cmd_orient,
     "color": _cmd_color,
     "graphent": _cmd_graphent,
-    "gen": _cmd_gen,
     "app": _cmd_app,
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        report, checks = _HANDLERS[args.group](args)
+        if args.group == "gen":
+            _cmd_gen(args)
+            return 0
+        with open(args.input) as f:
+            text = f.read()
+        report = {"command": " ".join(sys.argv[1:]),
+                  "input_digest": hashlib.sha256(text.encode()).hexdigest(),
+                  "seed": args.seed}
+        checks = _HANDLERS[args.group](args, text, report)
     except (mio.ParseError, ValidationError, FeasibilityError, BudgetError,
-            ConvergenceError, OSError) as exc:
+            ConvergenceError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not report:
-        return 0
     report["checks"] = checks
     report["timing_ms"] = (time.perf_counter() - start) * 1000.0
     _emit(report, args.json)
-    if getattr(args, "assert_bound", False) and not all(checks.values()):
+    if args.assert_bound and not all(checks.values()):
         return 1
     return 0
 

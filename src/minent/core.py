@@ -63,6 +63,8 @@ class Graph:
             weights = tuple(float(w) for w in weights)
             if len(weights) != n:
                 raise ValidationError("need one weight per vertex")
+            if not all(map(math.isfinite, weights)):
+                raise ValidationError("non-finite vertex weight")
             if any(w < 0 for w in weights):
                 raise ValidationError("negative vertex weight")
             if abs(sum(weights) - 1.0) > WEIGHT_TOL:

@@ -45,13 +45,16 @@ def enumerate_maximal_independent_sets(g: Graph, limit: int = 10 ** 5) -> list[t
     full = (1 << n) - 1
     co_adj = [full & ~adj[v] & ~(1 << v) for v in range(n)]
     out: list[int] = []
-
-    def expand(r: int, p: int, x: int) -> None:
+    # An explicit stack of (r, p, x) calls, so depth is not bounded by
+    # Python's recursion limit; the output is sorted, so visit order is free.
+    stack = [(0, full, 0)]
+    while stack:
+        r, p, x = stack.pop()
         if p == 0 and x == 0:
             out.append(r)
             if len(out) > limit:
                 raise BudgetError(f"more than {limit} maximal independent sets")
-            return
+            continue
         # pivot: vertex of p|x maximizing coverage of p
         px = p | x
         pivot = max((v for v in range(n) if px >> v & 1),
@@ -60,11 +63,10 @@ def enumerate_maximal_independent_sets(g: Graph, limit: int = 10 ** 5) -> list[t
         for v in range(n):
             if cand >> v & 1:
                 bit = 1 << v
-                expand(r | bit, p & co_adj[v], x & co_adj[v])
+                stack.append((r | bit, p & co_adj[v], x & co_adj[v]))
                 p &= ~bit
                 x |= bit
 
-    expand(0, full, 0)
     sets = sorted(tuple(v for v in range(n) if mask >> v & 1) for mask in out)
     return sets
 
@@ -75,7 +77,7 @@ def graph_entropy(g: Graph, tol: float = 1e-6, limit: int = 10 ** 5,
     pairwise Frank-Wolfe over the simplex of maximal independent sets with
     exact line search; stops when the conditional-gradient duality gap
     drops below tol (bits)."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValidationError("tol must be positive")
     n = g.n
     if n == 0:

@@ -11,6 +11,9 @@ from fractions import Fraction
 from .core import Graph, IntervalSet, SetSystem, ValidationError
 from .apps import GenotypePanel, JointTable
 
+# Largest vertex count a graph header may declare: Graph allocates from it.
+MAX_GRAPH_VERTICES = 10 ** 7
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, line: int):
@@ -23,27 +26,42 @@ def _lines(text: str) -> list[tuple[int, str]]:
             if ln.strip()]
 
 
+def _records(text: str, word: str, fields: tuple[str, ...]):
+    """Read a `<word> <size>...` header with one non-negative integer per
+    name in `fields`; return (header line number, sizes, numbered body lines)."""
+    lines = _lines(text)
+    ln, header = lines[0] if lines else (1, "")
+    parts = header.split()
+    if parts[:1] != [word] or len(parts) != len(fields) + 1:
+        usage = " ".join([word] + [f"<{f}>" for f in fields])
+        raise ParseError(f"expected header '{usage}'", ln)
+    try:
+        sizes = [int(p) for p in parts[1:]]
+    except ValueError:
+        raise ParseError(f"non-integer {word} header", ln)
+    if min(sizes) < 0:
+        raise ParseError(f"negative size in {word} header", ln)
+    return ln, sizes, lines[1:]
+
+
+def _build(ln: int, cls, *args):
+    """cls(*args), with a ValidationError reported as a ParseError at line ln."""
+    try:
+        return cls(*args)
+    except ValidationError as exc:
+        raise ParseError(str(exc), ln)
+
+
 def parse_graph(text: str) -> Graph:
     """Format: `graph <n> <m>`, m lines `<u> <v>`, optional trailing line
     `weights <w0> ... <w_{n-1}>`."""
-    lines = _lines(text)
-    if not lines or lines[0][1].split()[0] != "graph":
-        raise ParseError("expected header 'graph <n> <m>'", lines[0][0] if lines else 1)
-    ln, header = lines[0]
-    parts = header.split()
-    if len(parts) != 3:
-        raise ParseError("expected header 'graph <n> <m>'", ln)
-    try:
-        n, m = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise ParseError("non-integer graph header", ln)
-    edges = []
-    weights = None
-    body = lines[1:]
+    ln, (n, m), body = _records(text, "graph", ("n", "m"))
+    if n > MAX_GRAPH_VERTICES:
+        raise ParseError(f"more than {MAX_GRAPH_VERTICES} vertices", ln)
     if len(body) not in (m, m + 1):
         raise ParseError(f"expected {m} edge lines", ln)
-    for i in range(m):
-        eln, raw = body[i]
+    edges = []
+    for eln, raw in body[:m]:
         toks = raw.split()
         if len(toks) != 2:
             raise ParseError("expected '<u> <v>'", eln)
@@ -51,6 +69,7 @@ def parse_graph(text: str) -> Graph:
             edges.append((int(toks[0]), int(toks[1])))
         except ValueError:
             raise ParseError("non-integer vertex id", eln)
+    weights = None
     if len(body) == m + 1:
         wln, raw = body[m]
         toks = raw.split()
@@ -60,10 +79,7 @@ def parse_graph(text: str) -> Graph:
             weights = [float(t) for t in toks[1:]]
         except ValueError:
             raise ParseError("non-real vertex weight", wln)
-    try:
-        return Graph(n, edges, weights)
-    except ValidationError as exc:
-        raise ParseError(str(exc), ln)
+    return _build(ln, Graph, n, edges, weights)
 
 
 def serialize_graph(g: Graph) -> str:
@@ -76,29 +92,19 @@ def serialize_graph(g: Graph) -> str:
 
 def parse_setcover(text: str) -> SetSystem:
     """Format: `setcover <n> <k>`, then k lines of space-separated element ids."""
-    lines = _lines(text)
-    if not lines or lines[0][1].split()[0] != "setcover":
-        raise ParseError("expected header 'setcover <n> <k>'", lines[0][0] if lines else 1)
-    ln, header = lines[0]
-    parts = header.split()
-    if len(parts) != 3:
-        raise ParseError("expected header 'setcover <n> <k>'", ln)
-    try:
-        n, k = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise ParseError("non-integer setcover header", ln)
-    if len(lines) != k + 1:
+    ln, (n, k), body = _records(text, "setcover", ("n", "k"))
+    if len(body) != k:
         raise ParseError(f"expected {k} set lines", ln)
     sets = []
-    for sln, raw in lines[1:]:
+    for sln, raw in body:
         try:
             sets.append([int(t) for t in raw.split()])
         except ValueError:
             raise ParseError("non-integer element id", sln)
-    try:
-        return SetSystem(n, sets)
-    except ValidationError as exc:
-        raise ParseError(str(exc), ln)
+    ids = sum(map(len, sets))
+    if n > ids:
+        raise ParseError(f"{n} elements cannot be covered by {ids} element ids", ln)
+    return _build(ln, SetSystem, n, sets)
 
 
 def serialize_setcover(s: SetSystem) -> str:
@@ -119,29 +125,16 @@ def _parse_rational(tok: str, ln: int) -> Fraction:
 
 def parse_intervals(text: str) -> IntervalSet:
     """Format: `intervals <n>`, then n lines `<lo_num>/<lo_den> <hi_num>/<hi_den>`."""
-    lines = _lines(text)
-    if not lines or lines[0][1].split()[0] != "intervals":
-        raise ParseError("expected header 'intervals <n>'", lines[0][0] if lines else 1)
-    ln, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2:
-        raise ParseError("expected header 'intervals <n>'", ln)
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise ParseError("non-integer intervals header", ln)
-    if len(lines) != n + 1:
+    ln, (n,), body = _records(text, "intervals", ("n",))
+    if len(body) != n:
         raise ParseError(f"expected {n} interval lines", ln)
     ivs = []
-    for iln, raw in lines[1:]:
+    for iln, raw in body:
         toks = raw.split()
         if len(toks) != 2:
             raise ParseError("expected '<lo> <hi>'", iln)
         ivs.append((_parse_rational(toks[0], iln), _parse_rational(toks[1], iln)))
-    try:
-        return IntervalSet(ivs)
-    except ValidationError as exc:
-        raise ParseError(str(exc), ln)
+    return _build(ln, IntervalSet, ivs)
 
 
 def serialize_intervals(iv: IntervalSet) -> str:
@@ -155,10 +148,7 @@ def parse_genotypes(text: str) -> GenotypePanel:
     lines = _lines(text)
     if not lines:
         raise ParseError("empty genotype file", 1)
-    try:
-        return GenotypePanel(raw for _, raw in lines)
-    except ValidationError as exc:
-        raise ParseError(str(exc), lines[0][0])
+    return _build(lines[0][0], GenotypePanel, (raw for _, raw in lines))
 
 
 def parse_joint_table(text: str) -> JointTable:
@@ -178,10 +168,7 @@ def parse_joint_table(text: str) -> JointTable:
             probs.append([float(c) for c in row[1:]])
         except ValueError:
             raise ParseError("non-numeric probability", i)
-    try:
-        return JointTable(x_labels, y_labels, probs)
-    except ValidationError as exc:
-        raise ParseError(str(exc), 1)
+    return _build(1, JointTable, x_labels, y_labels, probs)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +176,8 @@ def parse_joint_table(text: str) -> JointTable:
 
 
 def random_graph(n: int, m: int, seed: int = 0) -> Graph:
-    if m > n * (n - 1) // 2:
-        raise ValidationError("too many edges requested")
+    if not 0 <= m <= n * (n - 1) // 2:
+        raise ValidationError("edge count must be in [0, n(n-1)/2]")
     rng = random.Random(seed)
     all_edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
     return Graph(n, rng.sample(all_edges, m))
@@ -251,6 +238,8 @@ def random_intervals(n: int, seed: int = 0, grid: int = 0) -> IntervalSet:
 def random_setcover(n: int, k: int, seed: int = 0, max_tries: int = 10_000) -> SetSystem:
     """k uniformly random nonempty subsets of [0, n); resampled until every
     element is covered."""
+    if n < 1:
+        raise ValidationError("universe must be nonempty")
     rng = random.Random(seed)
     for _ in range(max_tries):
         sets = []

@@ -40,8 +40,8 @@ class EstimatorParams:
     s: Optional[int] = None
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValidationError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValidationError("epsilon must be positive and finite")
         if not 0 < self.delta < 1:
             raise ValidationError("delta must be in (0,1)")
         if self.s is not None and self.s < 1:
@@ -155,13 +155,13 @@ def exact_orientation(g: Graph, limit: int = 2 ** 22) -> Orientation:
 
 def sample_count(epsilon: float, delta: float, max_degree: int) -> int:
     """Samples needed so Hoeffding's bound 2 exp(-2 s eps^2 / B^2) <= delta,
-    with B = max(Delta log2 Delta, 1) the range of rho*log rho."""
-    if epsilon <= 0 or not 0 < delta < 1:
-        raise ValidationError("need epsilon > 0 and delta in (0,1)")
+    with B = max(Delta log2 Delta, 1) the range of rho*log rho; at least 1."""
+    if not 0 < epsilon < math.inf or not 0 < delta < 1:
+        raise ValidationError("need finite epsilon > 0 and delta in (0,1)")
     if max_degree < 1:
         raise ValidationError("max degree must be >= 1")
     b = max(max_degree * math.log2(max_degree), 1.0)
-    return math.ceil(b * b / (2 * epsilon * epsilon) * math.log(2 / delta))
+    return max(1, math.ceil(b * b / (2 * epsilon * epsilon) * math.log(2 / delta)))
 
 
 def local_indegree(g: Graph, v: int, pos: Sequence[int]) -> int:

@@ -100,8 +100,10 @@ def exact_cover(s: SetSystem, limit: int = 10 ** 7) -> CoverAssignment:
     into the largest current count, which dominates every completion -- has
     an entropy no more than 1e-12 below the incumbent's. The incumbent is
     replaced only by an entropy more than 1e-12 lower, so ties go to the
-    lexicographically smallest optimal assignment. `limit` caps the number
-    of assignment combinations, checked before the search starts."""
+    lexicographically smallest optimal assignment. Elements in exactly one
+    set are assigned up front and the search branches over the rest only,
+    so its depth is at most log2(limit) + 1. `limit` caps the number of
+    assignment combinations, checked before the search starts."""
     n = s.universe_size
     choices = [s.sets_containing(x) for x in range(n)]
     space = 1
@@ -114,29 +116,39 @@ def exact_cover(s: SetSystem, limit: int = 10 ** 7) -> CoverAssignment:
     xlog = xlog2x_table(n)
     log2n = math.log2(n)
     counts = [0] * s.k
-    assignment = [0] * n
+    for c in choices:
+        if len(c) == 1:
+            counts[c[0]] += 1
+    free = [x for x, c in enumerate(choices) if len(c) > 1]
+    options = [choices[x] for x in free]
+    m = len(free)
+    picks = [0] * m
     best_h = math.inf
     best = None
 
-    def recurse(x: int, acc: float, cmax: int) -> None:
-        # acc is sum(c * log2 c) over the current counts, cmax their maximum.
+    def recurse(j: int, acc: float, cmax: int) -> None:
+        # acc is sum(c * log2 c) over the current counts, cmax their maximum;
+        # free[j:] are the elements still unassigned.
         nonlocal best_h, best
-        if x == n:
+        if j == m:
             h = log2n - acc / n
             if h < best_h - 1e-12:
-                best_h, best = h, tuple(assignment)
+                best_h, best = h, tuple(picks)
             return
-        if log2n - (acc - xlog[cmax] + xlog[cmax + n - x]) / n >= best_h - 1e-12:
+        if log2n - (acc - xlog[cmax] + xlog[cmax + m - j]) / n >= best_h - 1e-12:
             return
-        for i in choices[x]:
+        for i in options[j]:
             c = counts[i]
             counts[i] = c + 1
-            assignment[x] = i
-            recurse(x + 1, acc + xlog[c + 1] - xlog[c], max(cmax, c + 1))
+            picks[j] = i
+            recurse(j + 1, acc + xlog[c + 1] - xlog[c], max(cmax, c + 1))
             counts[i] = c
 
-    recurse(0, 0.0, 0)
-    return CoverAssignment.from_assignment(s, best)
+    recurse(0, sum(xlog[c] for c in counts), max(counts))
+    assignment = [c[0] for c in choices]
+    for x, i in zip(free, best):
+        assignment[x] = i
+    return CoverAssignment.from_assignment(s, assignment)
 
 
 def dual_certificate(s: SetSystem, t: GreedyTrace) -> DualCertificate:

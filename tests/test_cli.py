@@ -186,7 +186,11 @@ def test_cli_input_error_exit_code(tmp_path, capsys):
     (["setcover", "greedy"], "setcover x 1\n0\n"),
     (["color", "interval"], "intervals z\n0 1\n"),
     (["orient", "biased"], "graph 2 1\n0 1\nweights a b\n"),
-], ids=["setcover-header", "intervals-header", "graph-weights"])
+    (["orient", "biased"], "graph 2 -1\n"),
+    (["setcover", "greedy"], "setcover 1000000000 1\n0\n"),
+    (["orient", "biased"], "graph 100000000 0\n"),
+], ids=["setcover-header", "intervals-header", "graph-weights", "graph-negative-size",
+        "setcover-size-above-ids", "graph-size-above-cap"])
 def test_cli_malformed_header_exits_2(tmp_path, capsys, argv, text):
     f = tmp_path / "bad.txt"
     f.write_text(text)
@@ -194,6 +198,33 @@ def test_cli_malformed_header_exits_2(tmp_path, capsys, argv, text):
     err = capsys.readouterr().err
     assert err.startswith("error: line ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, data", [
+    (["orient", "biased"], b"graph 2 1\n0 1\nweights nan nan\n"),
+    (["color", "greedy"], b"graph 2 1\n0 1\nweights nan nan\n"),
+    (["app", "confusability"], b"x,0,1\na,nan,0.5\nb,0.5,0\n"),
+    (["orient", "estimate", "--epsilon", "nan"], b"graph 3 3\n0 1\n1 2\n0 2\n"),
+    (["graphent", "compute", "--tol", "nan"], b"graph 3 1\n0 1\n"),
+    (["orient", "biased"], b"\xff\xfe graph"),
+], ids=["nan-weights", "nan-weights-greedy-coloring", "nan-joint-cell",
+        "nan-epsilon", "nan-tol", "not-utf8"])
+def test_cli_bad_value_exits_2(tmp_path, capsys, argv, data):
+    f = tmp_path / "bad.txt"
+    f.write_bytes(data)
+    assert main(argv + ["--input", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "setcover", "--n", "0"],
+    ["--kind", "graph", "--m", "-1"],
+], ids=["setcover-empty-universe", "graph-negative-edges"])
+def test_cli_gen_bad_size_exits_2(capsys, argv):
+    assert main(["gen", "random"] + argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_unknown_flag_exits_2(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -23,6 +24,19 @@ def test_enumerate_mis():
     c5_sets = enumerate_maximal_independent_sets(C5)
     assert len(c5_sets) == 5
     assert all(len(s) == 2 for s in c5_sets)
+
+
+def test_enumerate_mis_depth_is_not_bounded_by_recursion_limit():
+    # With one edge, Bron-Kerbosch goes one level deeper per vertex; a
+    # recursion limit below n fails any search that recurses per level.
+    n = 400
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        sets = enumerate_maximal_independent_sets(Graph(n, [(0, 1)]))
+    finally:
+        sys.setrecursionlimit(old)
+    assert sets == [(0,) + tuple(range(2, n)), tuple(range(1, n))]
 
 
 def test_enumerate_mis_budget():

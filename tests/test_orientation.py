@@ -121,6 +121,17 @@ def test_sample_count_scaling():
     assert sample_count(0.5, 0.999999, 5) == math.ceil(b * b * math.log(2 / 0.999999) / 0.5)
 
 
+def test_sample_count_is_positive_and_needs_finite_epsilon():
+    assert sample_count(1e300, 0.05, 4) == 1
+    for eps in (math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            sample_count(eps, 0.05, 4)
+        with pytest.raises(ValidationError):
+            EstimatorParams(eps, 0.05)
+    g = random_regular_graph(8, 4, seed=3)
+    assert math.isfinite(estimate_entropy(g, EstimatorParams(1e300, 0.05)))
+
+
 def test_sample_count_degree_guard():
     assert sample_count(1.0, 0.5, 1) == math.ceil(0.5 * math.log(4))
     with pytest.raises(ValidationError):

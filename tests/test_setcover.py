@@ -249,3 +249,11 @@ def test_exact_cover_matches_enumeration_tie_for_tie():
         cover = exact_cover(s)
         assert cover.assignment == _first_optimal_cover(s), s.sets
         assert cover == CoverAssignment.from_assignment(s, cover.assignment)
+
+
+def test_exact_cover_depth_does_not_grow_with_forced_elements():
+    # 1,200 elements in exactly one set each, more than Python's default
+    # recursion limit, and two elements that may share the extra set.
+    n = 1200
+    s = SetSystem(n, [[x] for x in range(n)] + [[0, 1]])
+    assert exact_cover(s).assignment == (n, n) + tuple(range(2, n))
