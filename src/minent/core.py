@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -137,9 +138,9 @@ class SetSystem:
             members = tuple(sorted(s))
             if len(set(members)) != len(members):
                 raise ValidationError(f"set {idx} has duplicate members")
-            for x in members:
-                if not (0 <= x < universe_size):
-                    raise ValidationError(f"set {idx}: element {x} out of range")
+            if members and not (0 <= members[0] and members[-1] < universe_size):
+                x = members[0] if members[0] < 0 else members[bisect_left(members, universe_size)]
+                raise ValidationError(f"set {idx}: element {x} out of range")
             covered.update(members)
             norm.append(members)
         if covered != set(range(universe_size)):

@@ -155,13 +155,18 @@ def exact_orientation(g: Graph, limit: int = 2 ** 22) -> Orientation:
 
 def sample_count(epsilon: float, delta: float, max_degree: int) -> int:
     """Samples needed so Hoeffding's bound 2 exp(-2 s eps^2 / B^2) <= delta,
-    with B = max(Delta log2 Delta, 1) the range of rho*log rho; at least 1."""
+    with B = max(Delta log2 Delta, 1) the range of rho*log rho; at least 1.
+    An epsilon so small that the count is not a finite float is refused."""
     if not 0 < epsilon < math.inf or not 0 < delta < 1:
         raise ValidationError("need finite epsilon > 0 and delta in (0,1)")
     if max_degree < 1:
         raise ValidationError("max degree must be >= 1")
     b = max(max_degree * math.log2(max_degree), 1.0)
-    return max(1, math.ceil(b * b / (2 * epsilon * epsilon) * math.log(2 / delta)))
+    denom = 2 * epsilon * epsilon
+    count = b * b / denom * math.log(2 / delta) if denom else math.inf
+    if not math.isfinite(count):
+        raise ValidationError(f"epsilon {epsilon} is too small: the sample count is not finite")
+    return max(1, math.ceil(count))
 
 
 def local_indegree(g: Graph, v: int, pos: Sequence[int]) -> int:

@@ -4,6 +4,7 @@ closed-form dual-fitting certificate behind the log2(e) additive guarantee."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import (BudgetError, FeasibilityError, SetSystem, ValidationError,
@@ -26,10 +27,16 @@ class CoverAssignment:
             raise FeasibilityError("assignment must cover every element")
         counts = [0] * s.k
         for x, i in enumerate(assignment):
-            if not (0 <= i < s.k) or x not in s.sets[i]:
+            if not (0 <= i < s.k) or not _contains(s.sets[i], x):
                 raise FeasibilityError(f"element {x} assigned to set {i} not containing it")
             counts[i] += 1
         return CoverAssignment(assignment, tuple(counts))
+
+
+def _contains(members: tuple[int, ...], x: int) -> bool:
+    """Membership in a sorted tuple by binary search."""
+    j = bisect_left(members, x)
+    return j < len(members) and members[j] == x
 
 
 @dataclass(frozen=True)
@@ -69,23 +76,27 @@ def _check_assignment(s: SetSystem, a: CoverAssignment) -> None:
 
 def greedy_cover(s: SetSystem) -> tuple[CoverAssignment, GreedyTrace]:
     """Repeatedly pick the set covering the most uncovered elements (ties to
-    the lowest set index) and assign the newly covered elements to it."""
-    uncovered = set(range(s.universe_size))
+    the lowest set index) and assign the newly covered elements to it.
+
+    Each set keeps its uncovered remainder, shrunk in place after every
+    round, so a round costs one pass over the sets' sizes plus the removal of
+    the newly covered elements."""
     assignment = [-1] * s.universe_size
     rounds = []
-    members = [set(t) for t in s.sets]
+    remainders = [set(t) for t in s.sets]
+    uncovered = s.universe_size
     while uncovered:
-        best_i, best_new = -1, None
-        for i, mem in enumerate(members):
-            new = mem & uncovered
-            if best_new is None or len(new) > len(best_new):
-                best_i, best_new = i, new
-        if not best_new:
+        sizes = list(map(len, remainders))
+        best_i = sizes.index(max(sizes))
+        new = frozenset(remainders[best_i])
+        if not new:
             raise ValidationError("instance is not coverable")
-        for x in best_new:
+        for x in new:
             assignment[x] = best_i
-        uncovered -= best_new
-        rounds.append((best_i, frozenset(best_new)))
+        uncovered -= len(new)
+        rounds.append((best_i, new))
+        for mem in remainders:
+            mem -= new
     cover = CoverAssignment.from_assignment(s, assignment)
     return cover, GreedyTrace(tuple(rounds))
 
@@ -105,7 +116,11 @@ def exact_cover(s: SetSystem, limit: int = 10 ** 7) -> CoverAssignment:
     so its depth is at most log2(limit) + 1. `limit` caps the number of
     assignment combinations, checked before the search starts."""
     n = s.universe_size
-    choices = [s.sets_containing(x) for x in range(n)]
+    # choices[x] = sets_containing(x), for every x in one pass over the sets
+    choices: list[list[int]] = [[] for _ in range(n)]
+    for i, members in enumerate(s.sets):
+        for x in members:
+            choices[x].append(i)
     space = 1
     for c in choices:
         space *= len(c)

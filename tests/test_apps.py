@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -6,7 +7,7 @@ from minent.apps import (GenotypePanel, JointTable, code_rate,
                          compatible_haplotypes, confusability_graph, explains,
                          haplotype_instance)
 from minent.coloring import Coloring, greedy_coloring
-from minent.core import BudgetError, ValidationError
+from minent.core import BudgetError, SetSystem, ValidationError
 from minent.setcover import cover_entropy, exact_cover, greedy_cover, likelihood
 
 CHANNEL3X2 = JointTable(["a", "b", "c"], ["0", "1"],
@@ -61,6 +62,29 @@ def test_haplotype_sets_roundtrip():
     for h, members in zip(labels, system.sets):
         for i, g in enumerate(panel.genotypes):
             assert (i in members) == explains(h, g)
+
+
+def _pairwise_instance(panel):
+    """The haplotype instance built by testing every (haplotype, genotype)
+    pair with `explains`."""
+    labels = sorted({h for g in panel.genotypes for h in compatible_haplotypes(g)})
+    sets = [[i for i, g in enumerate(panel.genotypes) if explains(h, g)] for h in labels]
+    return SetSystem(len(panel.genotypes), sets), labels
+
+
+def test_haplotype_instance_matches_pairwise_construction():
+    panels = [GenotypePanel(["0"]), GenotypePanel(["?"]), GenotypePanel(["01", "01", "10"]),
+              GenotypePanel(["??", "??", "0?"])]
+    for seed in range(200):
+        rng = random.Random(seed)
+        length = rng.randrange(1, 8)
+        wild = rng.choice([0.0, 0.2, 0.5])
+        pool = ["".join("?" if rng.random() < wild else rng.choice("01")
+                        for _ in range(length)) for _ in range(rng.randrange(1, 6))]
+        # drawn from a small pool, so genotypes repeat
+        panels.append(GenotypePanel(rng.choice(pool) for _ in range(rng.randrange(1, 16))))
+    for panel in panels:
+        assert haplotype_instance(panel) == _pairwise_instance(panel), panel.genotypes
 
 
 def test_phasing_likelihood_bound():

@@ -104,6 +104,52 @@ def test_approx_mis_ratio_bound():
         assert len(exact_mis(g)) <= ratio_cap * len(approx_mis(g)) + 1e-9
 
 
+def _min_degree_greedy(g):
+    """The min-degree greedy recounting every live vertex's residual degree
+    for each pick, ties to the smallest index."""
+    alive = set(range(g.n))
+    chosen = []
+    while alive:
+        v = min(alive, key=lambda u: (sum(1 for x in g.neighbors(u) if x in alive), u))
+        chosen.append(v)
+        alive.discard(v)
+        alive -= set(g.neighbors(v))
+    return tuple(sorted(chosen))
+
+
+def _tied_graphs():
+    """Graphs with many equal residual degrees: the empty graph, edgeless
+    graphs, cycles, disjoint equal cliques, stars and 6-regular circulants
+    (v joined to v +- 1, 2, 3) in seeded vertex orders."""
+    yield Graph(0, [])
+    for n in (1, 5):
+        yield Graph(n, [])
+    for n in range(3, 25):
+        yield Graph(n, [(v, (v + 1) % n) for v in range(n)])
+    for count, size in [(2, 2), (2, 3), (3, 3), (4, 2), (3, 4), (2, 5), (5, 3)]:
+        yield Graph(count * size, [(b * size + u, b * size + v) for b in range(count)
+                                   for u in range(size) for v in range(u + 1, size)])
+    for n in range(2, 12):
+        yield Graph(n, [(0, v) for v in range(1, n)])
+        yield Graph(n, [(v, n - 1) for v in range(n - 1)])
+    for n in (7, 8, 10, 13, 20, 41, 64):
+        for seed in range(3):
+            label = list(range(n))
+            random.Random(seed).shuffle(label)
+            yield Graph(n, [(label[v], label[(v + d) % n]) for v in range(n) for d in (1, 2, 3)])
+
+
+def test_approx_mis_matches_recounting_greedy_tie_for_tie():
+    from minent.io import random_graph
+    graphs = list(_tied_graphs())
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randrange(1, 31)
+        graphs.append(random_graph(n, rng.randrange(0, n * (n - 1) // 2 + 1), seed=seed))
+    for g in graphs:
+        assert approx_mis(g) == _min_degree_greedy(g), g.edges
+
+
 def test_greedy_coloring_p3_is_optimal():
     c = greedy_coloring(P3)
     assert coloring_entropy(P3, c) == pytest.approx(0.9183, abs=1e-3)

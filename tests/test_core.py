@@ -147,6 +147,14 @@ def test_setsystem_requires_coverage():
         SetSystem(2, [[0, 0, 1]])
 
 
+def test_setsystem_names_the_first_out_of_range_element():
+    with pytest.raises(ValidationError, match=r"set 1: element 4 out of range"):
+        SetSystem(4, [[0, 1, 2, 3], [6, 0, 4, 9]])
+    with pytest.raises(ValidationError, match=r"set 0: element -2 out of range"):
+        SetSystem(3, [[1, -1, 0, -2, 2, 7]])
+    assert SetSystem(3, [[2, 0], [], [1]]).sets == ((0, 2), (), (1,))
+
+
 def test_interval_graph_open_convention():
     iv = IntervalSet([(0, 2), (1, 3), (2, 4)])
     g = interval_graph(iv)

@@ -257,3 +257,56 @@ def test_exact_cover_depth_does_not_grow_with_forced_elements():
     n = 1200
     s = SetSystem(n, [[x] for x in range(n)] + [[0, 1]])
     assert exact_cover(s).assignment == (n, n) + tuple(range(2, n))
+
+
+def _intersecting_greedy(s):
+    """Greedy set cover intersecting every set with the uncovered elements
+    each round, ties to the lowest set index: (assignment, rounds)."""
+    uncovered = set(range(s.universe_size))
+    assignment = [-1] * s.universe_size
+    rounds = []
+    members = [set(t) for t in s.sets]
+    while uncovered:
+        best_i, best_new = -1, None
+        for i, mem in enumerate(members):
+            new = mem & uncovered
+            if best_new is None or len(new) > len(best_new):
+                best_i, best_new = i, new
+        for x in best_new:
+            assignment[x] = best_i
+        uncovered -= best_new
+        rounds.append((best_i, frozenset(best_new)))
+    return tuple(assignment), tuple(rounds)
+
+
+def test_greedy_cover_matches_intersecting_loop_tie_for_tie():
+    systems = list(_tied_systems())
+    for n in range(1, 9):
+        # nested prefixes, listed both ways, and the same chain duplicated
+        chain = [list(range(j)) for j in range(1, n + 1)]
+        systems += [SetSystem(n, chain), SetSystem(n, chain[::-1]), SetSystem(n, chain * 2)]
+    for seed in range(300):
+        rng = random.Random(seed)
+        k = rng.randrange(1, 12)
+        base = random_setcover(rng.randrange(1, min(30, 2 ** k + 1)), k, seed=seed)
+        sets = list(base.sets)
+        for _ in range(rng.randrange(0, 4)):
+            # duplicated sets and subsets of existing sets
+            t = list(rng.choice(sets))
+            sets.insert(rng.randrange(len(sets) + 1), t[:rng.randrange(1, len(t) + 1)])
+        systems.append(SetSystem(base.universe_size, sets))
+    for s in systems:
+        cover, trace = greedy_cover(s)
+        assignment, rounds = _intersecting_greedy(s)
+        assert trace.rounds == rounds, s.sets
+        assert cover.assignment == assignment
+        assert cover == CoverAssignment.from_assignment(s, assignment)
+
+
+def test_assignment_to_a_set_not_containing_the_element_is_infeasible():
+    s = SetSystem(5, [[0, 2, 4], [1, 3]])
+    assert CoverAssignment.from_assignment(s, [0, 1, 0, 1, 0]).induced_counts == (3, 2)
+    for bad in ([1, 1, 0, 1, 0], [0, 1, 0, 0, 0], [0, 1, 0, 1, 1], [0, 1, 0, 1, 2],
+                [0, 1, 0, 1, -1]):
+        with pytest.raises(FeasibilityError):
+            CoverAssignment.from_assignment(s, bad)
