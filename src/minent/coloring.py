@@ -15,6 +15,7 @@ from .core import (BudgetError, FeasibilityError, Graph, IntervalSet,
                    max_point_depth, xlog2x_table)
 
 LOG2_E = math.log2(math.e)
+DEFAULT_COLORING_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,7 @@ def greedy_coloring(g: Graph, oracle: str = "exact") -> Coloring:
     return Coloring(colors)
 
 
-def exact_coloring(g: Graph, limit: int = 12) -> Coloring:
+def exact_coloring(g: Graph, limit: int = DEFAULT_COLORING_CAP) -> Coloring:
     """Minimum-entropy proper coloring by canonical set-partition search with
     dominance-envelope pruning; returns the lexicographically smallest
     optimal canonical color vector."""

@@ -9,6 +9,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 WEIGHT_TOL = 1e-9
+WORK_BUDGET = 10 ** 7  # most exact-oracle assignments or estimator samples
 
 
 class ValidationError(ValueError):
@@ -20,7 +21,7 @@ class FeasibilityError(ValueError):
 
 
 class BudgetError(RuntimeError):
-    """Raised when an exact oracle would exceed its enumeration budget."""
+    """Raised when an exact oracle or estimator would exceed its work budget."""
 
 
 def _xlog2x(x: float) -> float:

@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .core import BudgetError, Graph, ValidationError
-from .coloring import coloring_entropy, exact_coloring, greedy_coloring
+from .coloring import DEFAULT_COLORING_CAP, coloring_entropy, exact_coloring, greedy_coloring
 
 LN2 = math.log(2.0)
 
@@ -175,7 +175,7 @@ def greedy_vs_entropy(g: Graph, constant: float = 4.0, tol: float = 1e-6) -> Gre
     rhs = h_bits + math.log2(h_bits + 1.0) + constant
     chrom = None
     chain = None
-    if g.n <= 12:
+    if g.n <= DEFAULT_COLORING_CAP:
         chrom = coloring_entropy(g, exact_coloring(g))
         chain = (h_bits <= chrom + tol) and (chrom <= g_bits + 1e-9)
     return GreedyEntropyReport(g_bits, h_bits, rhs, g_bits <= rhs + 1e-9,

@@ -1,5 +1,6 @@
 """Minimum entropy orientation: biased orientations (additive +1 bit), the
-branch-and-bound exact oracle, and the constant-time sampling estimator."""
+exact oracle as set cover over vertex stars, and the constant-time sampling
+estimator."""
 
 from __future__ import annotations
 
@@ -8,8 +9,9 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import (BudgetError, FeasibilityError, Graph, ValidationError,
-                   entropy_of_counts, xlog2x_table)
+from .core import (WORK_BUDGET, BudgetError, FeasibilityError, Graph, SetSystem,
+                   ValidationError, entropy_of_counts)
+from .setcover import exact_cover
 
 
 @dataclass(frozen=True)
@@ -86,77 +88,33 @@ def biased_orientation(g: Graph, order: Optional[Sequence[int]] = None) -> Orien
     return Orientation.from_directions(g, direction)
 
 
-def exact_orientation(g: Graph, limit: int = 2 ** 22) -> Orientation:
-    """Minimum-entropy orientation by depth-first branch and bound over the
-    edges in order. Edge (u, v), u < v, is tried as u->v (bit 0) before v->u
-    (bit 1), so direction vectors are met in lexicographic order.
-
-    The search maximises S = sum_w r_w log2 r_w over the indegrees r, since
-    H = log2 m - S/m. A subtree's upper bound on S is a fractional knapsack
-    over its undecided edges: a vertex with indegree d and `rest` undecided
-    edges takes up to `rest` of them at the secant slope
-    (f(d + rest) - f(d)) / rest, f(x) = x log2 x, which bounds its gain
-    because f is convex. The incumbent starts 1e-9 below the biased
-    orientation's S, so the search must still reach an optimum itself, and
-    is replaced only by an S more than 1e-12 m higher: ties go to the
-    lexicographically smallest optimum. `limit` caps 2^m, checked before the
-    search starts."""
-    m = g.m
-    if m == 0:
+def exact_orientation(g: Graph) -> Orientation:
+    """Minimum-entropy orientation as minimum entropy set cover: each edge
+    is an element lying in the stars of its two endpoints, and the set it is
+    assigned to names its head (Cardinal, Fiorini & Joret, Oper. Res. Lett.
+    2008). Set n-1-w is vertex w's star, so `setcover.exact_cover`, trying
+    each element's sets in ascending index, tries edge (u, v), u < v, as
+    u->v before v->u: direction vectors are met in lexicographic order and
+    ties go to the lexicographically smallest optimum. The search, its
+    secant bound and its greedy-seeded incumbent are exact_cover's; more
+    than `WORK_BUDGET` orientations, 2^m, are refused before it starts."""
+    if g.m == 0:
         raise ValidationError("graph has no edges to orient")
-    if 2 ** m > limit:
-        raise BudgetError(f"2^{m} orientations exceed budget {limit}")
-    edges = g.edges
-    xlog = xlog2x_table(m)
-    indeg = [0] * g.n
-    rest = [g.degree(w) for w in range(g.n)]
-    heads = [0] * m
-    tol = 1e-12 * m
-    best_s = sum(xlog[r] for r in biased_orientation(g).indegrees) - 1e-9
-    best = None
-
-    def gain_bound(left: int) -> float:
-        slopes = sorted((((xlog[d + r] - xlog[d]) / r, r)
-                         for d, r in zip(indeg, rest) if r), reverse=True)
-        gain = 0.0
-        for slope, r in slopes:
-            take = min(r, left)
-            gain += slope * take
-            left -= take
-            if not left:
-                break
-        return gain
-
-    def recurse(j: int, acc: float) -> None:
-        # acc is S over the edges decided so far.
-        nonlocal best_s, best
-        if j == m:
-            if acc > best_s + tol:
-                best_s, best = acc, tuple(heads)
-            return
-        if acc + gain_bound(m - j) <= best_s + tol:
-            return
-        u, v = edges[j]
-        rest[u] -= 1
-        rest[v] -= 1
-        for head in (v, u):
-            d = indeg[head]
-            indeg[head] = d + 1
-            heads[j] = head
-            recurse(j + 1, acc + xlog[d + 1] - xlog[d])
-            indeg[head] = d
-        rest[u] += 1
-        rest[v] += 1
-
-    recurse(0, 0.0)
+    n = g.n
+    stars: list[list[int]] = [[] for _ in range(n)]
+    for j, (u, v) in enumerate(g.edges):
+        stars[n - 1 - u].append(j)
+        stars[n - 1 - v].append(j)
+    cover = exact_cover(SetSystem(g.m, stars))
     return Orientation.from_directions(
-        g, [(u, v) if head == v else (v, u) for (u, v), head in zip(edges, best)])
+        g, [(u, v) if i == n - 1 - v else (v, u)
+            for (u, v), i in zip(g.edges, cover.assignment)])
 
 
 def sample_count(epsilon: float, delta: float, max_degree: int) -> int:
     """Samples needed so Hoeffding's bound 2 exp(-2 s eps^2 / B^2) <= delta,
     with B = max(Delta log2 Delta, 1) the range of rho*log rho; at least 1.
-    An epsilon so small that the count is not a finite float is refused."""
+    A count above `WORK_BUDGET` (an infinite one included) is refused."""
     if not 0 < epsilon < math.inf or not 0 < delta < 1:
         raise ValidationError("need finite epsilon > 0 and delta in (0,1)")
     if max_degree < 1:
@@ -164,8 +122,9 @@ def sample_count(epsilon: float, delta: float, max_degree: int) -> int:
     b = max(max_degree * math.log2(max_degree), 1.0)
     denom = 2 * epsilon * epsilon
     count = b * b / denom * math.log(2 / delta) if denom else math.inf
-    if not math.isfinite(count):
-        raise ValidationError(f"epsilon {epsilon} is too small: the sample count is not finite")
+    if not count <= WORK_BUDGET:
+        raise BudgetError(f"epsilon {epsilon} needs {count:.3g} samples, "
+                          f"more than the budget {WORK_BUDGET}")
     return max(1, math.ceil(count))
 
 

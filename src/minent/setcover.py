@@ -7,8 +7,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .core import (BudgetError, FeasibilityError, SetSystem, ValidationError,
-                   entropy_of_counts, xlog2x_table)
+from .core import (WORK_BUDGET, BudgetError, FeasibilityError, SetSystem,
+                   ValidationError, entropy_of_counts, xlog2x_table)
 
 LOG2_E = math.log2(math.e)
 
@@ -101,20 +101,24 @@ def greedy_cover(s: SetSystem) -> tuple[CoverAssignment, GreedyTrace]:
     return cover, GreedyTrace(tuple(rounds))
 
 
-def exact_cover(s: SetSystem, limit: int = 10 ** 7) -> CoverAssignment:
+def exact_cover(s: SetSystem) -> CoverAssignment:
     """Minimum-entropy assignment by depth-first branch and bound over the
     per-element set choices: elements in index order, each element's sets in
     ascending index order, so complete assignments are met in lexicographic
-    order.
+    order. `orientation.exact_orientation` is this search over vertex stars.
 
-    A subtree is pruned when its envelope -- every remaining element poured
-    into the largest current count, which dominates every completion -- has
-    an entropy no more than 1e-12 below the incumbent's. The incumbent is
-    replaced only by an entropy more than 1e-12 lower, so ties go to the
-    lexicographically smallest optimal assignment. Elements in exactly one
-    set are assigned up front and the search branches over the rest only,
-    so its depth is at most log2(limit) + 1. `limit` caps the number of
-    assignment combinations, checked before the search starts."""
+    The search maximises S = sum_i f(c_i), f(x) = x log2 x, over the set
+    counts c, since H = log2 n - S/n. A subtree's bound on S is a fractional
+    knapsack over its undecided elements: set i, holding rest_i of them,
+    takes up to rest_i at the secant slope (f(c_i + rest_i) - f(c_i)) /
+    rest_i, which bounds its gain because f is convex. The incumbent starts
+    1e-9 above the greedy cover's entropy, so the search must still reach an
+    optimum itself. A subtree is pruned when its bound is no more than 1e-12
+    below the incumbent's entropy, which is replaced only by one more than
+    1e-12 lower: ties go to the lexicographically smallest optimum. Elements
+    in exactly one set are assigned up front and the search branches over
+    the rest only, so its depth is at most log2(WORK_BUDGET) + 1: more
+    assignment combinations than WORK_BUDGET are refused before it starts."""
     n = s.universe_size
     # choices[x] = sets_containing(x), for every x in one pass over the sets
     choices: list[list[int]] = [[] for _ in range(n)]
@@ -124,9 +128,9 @@ def exact_cover(s: SetSystem, limit: int = 10 ** 7) -> CoverAssignment:
     space = 1
     for c in choices:
         space *= len(c)
-        if space > limit:
+        if space > WORK_BUDGET:
             raise BudgetError(
-                f"instance too large for oracle: >{limit} assignment combinations")
+                f"instance too large for oracle: >{WORK_BUDGET} assignment combinations")
 
     xlog = xlog2x_table(n)
     log2n = math.log2(n)
@@ -137,29 +141,51 @@ def exact_cover(s: SetSystem, limit: int = 10 ** 7) -> CoverAssignment:
     free = [x for x, c in enumerate(choices) if len(c) > 1]
     options = [choices[x] for x in free]
     m = len(free)
+    rest = [len(t) - c for t, c in zip(s.sets, counts)]  # undecided members
+    live = [i for i, r in enumerate(rest) if r]
     picks = [0] * m
-    best_h = math.inf
+    best_h = entropy_of_counts(greedy_cover(s)[0].induced_counts) + 1e-9
     best = None
 
-    def recurse(j: int, acc: float, cmax: int) -> None:
-        # acc is sum(c * log2 c) over the current counts, cmax their maximum;
-        # free[j:] are the elements still unassigned.
+    def recurse(j: int, acc: float) -> None:
+        # acc is S over the current counts; free[j:] are still undecided.
         nonlocal best_h, best
         if j == m:
             h = log2n - acc / n
             if h < best_h - 1e-12:
                 best_h, best = h, tuple(picks)
             return
-        if log2n - (acc - xlog[cmax] + xlog[cmax + m - j]) / n >= best_h - 1e-12:
-            return
-        for i in options[j]:
+        left = m - j
+        if left > 1:  # a last element's leaves cost less to visit than to bound
+            slopes = []  # a plain loop: cheaper than a comprehension on few sets
+            for i in live:
+                r = rest[i]
+                if r:
+                    c = counts[i]
+                    slopes.append(((xlog[c + r] - xlog[c]) / r, r))
+            slopes.sort(reverse=True)
+            gain = 0.0
+            for slope, r in slopes:
+                if r >= left:
+                    gain += slope * left
+                    break
+                gain += slope * r
+                left -= r
+            if log2n - (acc + gain) / n >= best_h - 1e-12:
+                return
+        opts = options[j]
+        for i in opts:
+            rest[i] -= 1
+        for i in opts:
             c = counts[i]
             counts[i] = c + 1
             picks[j] = i
-            recurse(j + 1, acc + xlog[c + 1] - xlog[c], max(cmax, c + 1))
+            recurse(j + 1, acc + xlog[c + 1] - xlog[c])
             counts[i] = c
+        for i in opts:
+            rest[i] += 1
 
-    recurse(0, sum(xlog[c] for c in counts), max(counts))
+    recurse(0, sum(xlog[c] for c in counts))
     assignment = [c[0] for c in choices]
     for x, i in zip(free, best):
         assignment[x] = i

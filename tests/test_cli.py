@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -227,6 +228,30 @@ def test_cli_bad_value_exits_2(tmp_path, capsys, argv, data):
 def test_cli_gen_bad_size_exits_2(capsys, argv):
     assert main(["gen", "random"] + argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_orient_exact_over_budget_exits_2(tmp_path, capsys):
+    k8 = Graph(8, [(u, v) for u in range(8) for v in range(u + 1, 8)])
+    f = tmp_path / "k8.g"
+    f.write_text(serialize_graph(k8))
+    assert main(["orient", "exact", "--input", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_cli_estimate_over_budget_exits_2_at_once(tmp_path, capsys):
+    # the circulant C_12(1, 2, 3) is 6-regular; epsilon 1e-4 needs ~4e10 samples
+    reg6 = Graph(12, sorted({tuple(sorted((v, (v + d) % 12))) for v in range(12)
+                             for d in (1, 2, 3)}))
+    f = tmp_path / "reg6.g"
+    f.write_text(serialize_graph(reg6))
+    start = time.perf_counter()
+    assert main(["orient", "estimate", "--epsilon", "1e-4", "--input", str(f)]) == 2
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_cli_unknown_flag_exits_2(tmp_path):

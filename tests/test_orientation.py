@@ -91,9 +91,19 @@ def test_exact_orientation_small_graphs():
 
 
 def test_exact_orientation_budget():
-    g = Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
+    # K_8: 2^28 orientations, above WORK_BUDGET = 10^7
+    g = Graph(8, [(u, v) for u in range(8) for v in range(u + 1, 8)])
     with pytest.raises(BudgetError):
-        exact_orientation(g, limit=2 ** 10)
+        exact_orientation(g)
+
+
+def test_exact_orientation_reaches_the_budget():
+    # 23 edges, 2^23 <= WORK_BUDGET < 2^24: the largest edge count accepted
+    for seed in range(3):
+        g = random_connected_graph(9, 23, seed=seed)
+        gap = (orientation_entropy(g, biased_orientation(g))
+               - orientation_entropy(g, exact_orientation(g)))
+        assert -1e-9 <= gap <= 1.0 + 1e-9
 
 
 def test_biased_within_one_bit_of_optimum():
@@ -130,6 +140,14 @@ def test_sample_count_is_positive_and_needs_finite_epsilon():
             EstimatorParams(eps, 0.05)
     g = random_regular_graph(8, 4, seed=3)
     assert math.isfinite(estimate_entropy(g, EstimatorParams(1e300, 0.05)))
+
+
+def test_sample_count_budget():
+    # about 4e10 samples at epsilon 1e-4 on a 6-regular graph; 2 eps^2
+    # underflows to 0 at 1e-300, an infinite count
+    for eps in (1e-4, 1e-300):
+        with pytest.raises(BudgetError):
+            sample_count(eps, 0.05, 6)
 
 
 def test_sample_count_degree_guard():

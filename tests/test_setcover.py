@@ -74,9 +74,10 @@ def test_exact_is_lexicographically_smallest():
 
 
 def test_exact_budget_guard():
-    s = SetSystem(4, [[0, 1, 2, 3], [0, 1, 2, 3]])
+    # 2^24 assignment combinations, above WORK_BUDGET = 10^7
+    s = SetSystem(24, [range(24), range(24)])
     with pytest.raises(BudgetError):
-        exact_cover(s, limit=8)
+        exact_cover(s)
 
 
 def test_greedy_within_log2e_of_optimum():
