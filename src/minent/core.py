@@ -34,6 +34,21 @@ def xlog2x_table(n: int) -> list[float]:
     return [_xlog2x(c) for c in range(n + 1)]
 
 
+def _edge_error(n: int, edges: Sequence[tuple[int, int]]) -> ValidationError:
+    """The error naming the first bad edge: an endpoint out of range, a
+    self-loop, or a repeat of an earlier edge."""
+    seen = set()
+    for (u, v) in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return ValidationError(f"edge ({u},{v}) out of range [0,{n})")
+        if u == v:
+            return ValidationError(f"self-loop at vertex {u}")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            return ValidationError(f"duplicate edge {e}")
+        seen.add(e)
+
+
 class Graph:
     """Immutable undirected simple graph with optional vertex weights.
 
@@ -48,17 +63,21 @@ class Graph:
         if n < 0:
             raise ValidationError("vertex count must be nonnegative")
         norm = []
-        seen = set()
-        for (u, v) in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValidationError(f"edge ({u},{v}) out of range [0,{n})")
-            if u == v:
-                raise ValidationError(f"self-loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise ValidationError(f"duplicate edge {e}")
-            seen.add(e)
-            norm.append(e)
+        adj = [[] for _ in range(n)]
+        for e in edges:
+            u, v = e
+            if u > v:
+                u, v = v, u
+                e = (u, v)
+            elif type(e) is not tuple:
+                e = (u, v)
+            if not 0 <= u < v < n:
+                raise _edge_error(n, edges)
+            norm.append(e)  # an ordered input pair is kept, not copied
+            adj[u].append(v)
+            adj[v].append(u)
+        if len(set(norm)) != len(norm):
+            raise _edge_error(n, edges)
         self.n = n
         self.edges = tuple(norm)
         if weights is not None:
@@ -72,15 +91,18 @@ class Graph:
             if abs(sum(weights) - 1.0) > WEIGHT_TOL:
                 raise ValidationError("vertex weights must sum to 1")
         self.weights = weights
-        adj = [[] for _ in range(n)]
-        for (u, v) in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self._adj = tuple(tuple(sorted(a)) for a in adj)
+        for a in adj:
+            a.sort()
+        self._adj = tuple(map(tuple, adj))
 
     @property
     def m(self) -> int:
         return len(self.edges)
+
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Every vertex's sorted neighbor tuple; len(adjacency[v]) is v's degree."""
+        return self._adj
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
@@ -89,7 +111,7 @@ class Graph:
         return len(self._adj[v])
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self._adj), default=0)
+        return max(map(len, self._adj), default=0)
 
     def complement(self) -> "Graph":
         present = set(self.edges)

@@ -7,6 +7,7 @@ import csv
 import io as _io
 import random
 from fractions import Fraction
+from itertools import compress, count, repeat
 
 from .core import Graph, IntervalSet, SetSystem, ValidationError
 from .apps import GenotypePanel, JointTable
@@ -21,16 +22,18 @@ class ParseError(ValueError):
         self.line = line
 
 
-def _lines(text: str) -> list[tuple[int, str]]:
-    return [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())
-            if ln.strip()]
+def _lines(text: str) -> tuple[list[int], list[str]]:
+    """(line numbers, stripped texts) of the nonblank lines."""
+    texts = list(map(str.strip, text.splitlines()))
+    return list(compress(count(1), texts)), list(filter(None, texts))
 
 
 def _records(text: str, word: str, fields: tuple[str, ...]):
     """Read a `<word> <size>...` header with one non-negative integer per
-    name in `fields`; return (header line number, sizes, numbered body lines)."""
-    lines = _lines(text)
-    ln, header = lines[0] if lines else (1, "")
+    name in `fields`; return (header line number, sizes, body line numbers,
+    body line texts)."""
+    nums, texts = _lines(text)
+    ln, header = (nums[0], texts[0]) if texts else (1, "")
     parts = header.split()
     if parts[:1] != [word] or len(parts) != len(fields) + 1:
         usage = " ".join([word] + [f"<{f}>" for f in fields])
@@ -41,7 +44,26 @@ def _records(text: str, word: str, fields: tuple[str, ...]):
         raise ParseError(f"non-integer {word} header", ln)
     if min(sizes) < 0:
         raise ParseError(f"negative size in {word} header", ln)
-    return ln, sizes, lines[1:]
+    return ln, sizes, nums[1:], texts[1:]
+
+
+def _id_reader(n: int, text: str):
+    """Token list -> id list for a file of ids in [0, n). Each token is looked
+    up in a table of the canonical spellings str(i); a miss ("007", "+3", an
+    id out of range) falls back to int(), so a token that int() rejects still
+    raises ValueError. A text of c characters holds at most (c + 1) // 2
+    tokens, which bounds the table; every id it yields is one of its ints."""
+    ids = range(min(n, (len(text) + 1) // 2))
+    table = dict(zip(map(str, ids), ids))
+    lookup = table.__getitem__
+
+    def read(toks: list[str]) -> list[int]:
+        try:
+            return list(map(lookup, toks))
+        except KeyError:
+            return [table[t] if t in table else int(t) for t in toks]
+
+    return read
 
 
 def _build(ln: int, cls, *args):
@@ -52,26 +74,42 @@ def _build(ln: int, cls, *args):
         raise ParseError(str(exc), ln)
 
 
-def parse_graph(text: str) -> Graph:
-    """Format: `graph <n> <m>`, m lines `<u> <v>`, optional trailing line
-    `weights <w0> ... <w_{n-1}>`."""
-    ln, (n, m), body = _records(text, "graph", ("n", "m"))
-    if n > MAX_GRAPH_VERTICES:
-        raise ParseError(f"more than {MAX_GRAPH_VERTICES} vertices", ln)
-    if len(body) not in (m, m + 1):
-        raise ParseError(f"expected {m} edge lines", ln)
+def _edge_pairs(nums: list[int], lines: list[str], read) -> list[tuple[int, int]]:
+    """The (u, v) pairs of the edge lines, or a ParseError naming the first
+    bad line. Stripped lines holding one space each have two tokens or more,
+    so 2m tokens in all means exactly two on each line: then the whole block
+    is split and read at once."""
+    toks = " ".join(lines).split()
+    if len(toks) == 2 * len(lines) and set(map(str.count, lines, repeat(" "))) <= {1}:
+        try:
+            ids = iter(read(toks))
+            return list(zip(ids, ids))
+        except ValueError:
+            pass  # the loop below names the line
     edges = []
-    for eln, raw in body[:m]:
+    for eln, raw in zip(nums, lines):
         toks = raw.split()
         if len(toks) != 2:
             raise ParseError("expected '<u> <v>'", eln)
         try:
-            edges.append((int(toks[0]), int(toks[1])))
+            edges.append(tuple(read(toks)))
         except ValueError:
             raise ParseError("non-integer vertex id", eln)
+    return edges
+
+
+def parse_graph(text: str) -> Graph:
+    """Format: `graph <n> <m>`, m lines `<u> <v>`, optional trailing line
+    `weights <w0> ... <w_{n-1}>`."""
+    ln, (n, m), nums, body = _records(text, "graph", ("n", "m"))
+    if n > MAX_GRAPH_VERTICES:
+        raise ParseError(f"more than {MAX_GRAPH_VERTICES} vertices", ln)
+    if len(body) not in (m, m + 1):
+        raise ParseError(f"expected {m} edge lines", ln)
+    edges = _edge_pairs(nums, body[:m], _id_reader(n, text))
     weights = None
     if len(body) == m + 1:
-        wln, raw = body[m]
+        wln, raw = nums[m], body[m]
         toks = raw.split()
         if toks[0] != "weights" or len(toks) != n + 1:
             raise ParseError(f"expected 'weights' line with {n} reals", wln)
@@ -92,13 +130,14 @@ def serialize_graph(g: Graph) -> str:
 
 def parse_setcover(text: str) -> SetSystem:
     """Format: `setcover <n> <k>`, then k lines of space-separated element ids."""
-    ln, (n, k), body = _records(text, "setcover", ("n", "k"))
+    ln, (n, k), nums, body = _records(text, "setcover", ("n", "k"))
     if len(body) != k:
         raise ParseError(f"expected {k} set lines", ln)
+    read = _id_reader(n, text)
     sets = []
-    for sln, raw in body:
+    for sln, raw in zip(nums, body):
         try:
-            sets.append([int(t) for t in raw.split()])
+            sets.append(read(raw.split()))
         except ValueError:
             raise ParseError("non-integer element id", sln)
     ids = sum(map(len, sets))
@@ -125,11 +164,11 @@ def _parse_rational(tok: str, ln: int) -> Fraction:
 
 def parse_intervals(text: str) -> IntervalSet:
     """Format: `intervals <n>`, then n lines `<lo_num>/<lo_den> <hi_num>/<hi_den>`."""
-    ln, (n,), body = _records(text, "intervals", ("n",))
+    ln, (n,), nums, body = _records(text, "intervals", ("n",))
     if len(body) != n:
         raise ParseError(f"expected {n} interval lines", ln)
     ivs = []
-    for iln, raw in body:
+    for iln, raw in zip(nums, body):
         toks = raw.split()
         if len(toks) != 2:
             raise ParseError("expected '<lo> <hi>'", iln)
@@ -145,10 +184,10 @@ def serialize_intervals(iv: IntervalSet) -> str:
 
 
 def parse_genotypes(text: str) -> GenotypePanel:
-    lines = _lines(text)
-    if not lines:
+    nums, texts = _lines(text)
+    if not texts:
         raise ParseError("empty genotype file", 1)
-    return _build(lines[0][0], GenotypePanel, (raw for _, raw in lines))
+    return _build(nums[0], GenotypePanel, texts)
 
 
 def parse_joint_table(text: str) -> JointTable:

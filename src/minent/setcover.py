@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import heapify, heappop, heapreplace
 
 from .core import (WORK_BUDGET, BudgetError, FeasibilityError, SetSystem,
                    ValidationError, entropy_of_counts, xlog2x_table)
@@ -74,31 +75,62 @@ def _check_assignment(s: SetSystem, a: CoverAssignment) -> None:
         raise FeasibilityError("induced_counts inconsistent with assignment")
 
 
+def _greedy_rounds(s: SetSystem) -> list[tuple[int, list[int]]]:
+    """The greedy rounds, (set index, elements newly covered, ascending):
+    each round takes the set covering the most uncovered elements, ties to
+    the lowest set index.
+
+    Each set is an int bitmask (element x is bit n-1-x) and so are the
+    uncovered elements, so a remainder's size is one AND and a bit count.
+    Sizes are re-evaluated lazily (Minoux's accelerated greedy): a heap holds
+    (-size when last evaluated, index), sizes only shrink, so an entry whose
+    size is still current when it reaches the top is the first largest."""
+    n = s.universe_size
+    zeros = b"0" * n
+    masks = [0] * s.k
+    for i, members in enumerate(s.sets):
+        if members:
+            row = bytearray(zeros)  # row[x] is the binary digit of bit n-1-x
+            for x in members:
+                row[x] = 49  # ord("1")
+            # Only the digits from the first to the last member are parsed,
+            # so a set of a few elements costs no O(n) parse.
+            lo, hi = members[0], members[-1]
+            masks[i] = int(row[lo:hi + 1], 2) << (n - 1 - hi)
+    heap = [(-len(t), i) for i, t in enumerate(s.sets) if t]
+    heapify(heap)
+    uncovered = (1 << n) - 1
+    free = bytearray(b"\1") * n
+    rounds = []
+    while uncovered:
+        if not heap:
+            raise ValidationError("instance is not coverable")
+        stale, i = heap[0]
+        size = (masks[i] & uncovered).bit_count()
+        if size == -stale:
+            heappop(heap)
+            uncovered &= ~masks[i]
+            new = [x for x in s.sets[i] if free[x]]
+            for x in new:
+                free[x] = 0
+            rounds.append((i, new))
+        elif size:
+            heapreplace(heap, (-size, i))
+        else:
+            heappop(heap)
+    return rounds
+
+
 def greedy_cover(s: SetSystem) -> tuple[CoverAssignment, GreedyTrace]:
     """Repeatedly pick the set covering the most uncovered elements (ties to
-    the lowest set index) and assign the newly covered elements to it.
-
-    Each set keeps its uncovered remainder, shrunk in place after every
-    round, so a round costs one pass over the sets' sizes plus the removal of
-    the newly covered elements."""
+    the lowest set index) and assign the newly covered elements to it."""
     assignment = [-1] * s.universe_size
-    rounds = []
-    remainders = [set(t) for t in s.sets]
-    uncovered = s.universe_size
-    while uncovered:
-        sizes = list(map(len, remainders))
-        best_i = sizes.index(max(sizes))
-        new = frozenset(remainders[best_i])
-        if not new:
-            raise ValidationError("instance is not coverable")
+    rounds = _greedy_rounds(s)
+    for i, new in rounds:
         for x in new:
-            assignment[x] = best_i
-        uncovered -= len(new)
-        rounds.append((best_i, new))
-        for mem in remainders:
-            mem -= new
+            assignment[x] = i
     cover = CoverAssignment.from_assignment(s, assignment)
-    return cover, GreedyTrace(tuple(rounds))
+    return cover, GreedyTrace(tuple((i, frozenset(new)) for i, new in rounds))
 
 
 def exact_cover(s: SetSystem) -> CoverAssignment:
@@ -144,7 +176,7 @@ def exact_cover(s: SetSystem) -> CoverAssignment:
     rest = [len(t) - c for t, c in zip(s.sets, counts)]  # undecided members
     live = [i for i, r in enumerate(rest) if r]
     picks = [0] * m
-    best_h = entropy_of_counts(greedy_cover(s)[0].induced_counts) + 1e-9
+    best_h = entropy_of_counts([len(new) for _, new in _greedy_rounds(s)]) + 1e-9
     best = None
 
     def recurse(j: int, acc: float) -> None:

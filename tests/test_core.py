@@ -127,6 +127,17 @@ def test_graph_validation():
         Graph(2, [(0, 1)], weights=[0.5, 0.6])
 
 
+def test_graph_names_the_first_bad_edge():
+    cases = [([(0, 1), (1, 0), (0, 5)], r"duplicate edge \(0, 1\)"),
+             ([(0, 1), (2, 5), (1, 0)], r"edge \(2,5\) out of range \[0,3\)"),
+             ([(2, -1), (1, 1)], r"edge \(2,-1\) out of range"),
+             ([(0, 2), (1, 1), (2, 0)], "self-loop at vertex 1"),
+             ([(2, 1), (0, 2), (1, 2)], r"duplicate edge \(1, 2\)")]
+    for edges, message in cases:
+        with pytest.raises(ValidationError, match=message):
+            Graph(3, edges)
+
+
 def test_graph_plumbing():
     g = Graph(4, [(0, 1), (1, 2), (1, 3)])
     assert g.degree(1) == 3 and g.degree(0) == 1

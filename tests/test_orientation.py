@@ -43,6 +43,18 @@ def test_orientation_validation():
         orientation_entropy(Graph(2, []), Orientation((), (0, 0)))
 
 
+def test_from_directions_accepts_only_the_edge_or_its_reverse():
+    g = Graph(3, [(0, 1), (1, 2)])
+    for tail, head in itertools.product(range(3), repeat=2):
+        direction = [(1, 0), (tail, head)]
+        if {tail, head} == {1, 2}:
+            assert Orientation.from_directions(g, direction).indegrees[head] == 1
+        else:
+            with pytest.raises(FeasibilityError, match=rf"direction \({tail},{head}\) "
+                               r"does not match edge \(1,2\)"):
+                Orientation.from_directions(g, direction)
+
+
 def test_biased_orientation_path():
     path = Graph(3, [(0, 1), (1, 2)])
     o = biased_orientation(path)
@@ -247,3 +259,75 @@ def test_exact_orientation_matches_enumeration_tie_for_tie():
         o = exact_orientation(g)
         assert o.direction == _first_optimal_orientation(g), g.edges
         assert o == Orientation.from_directions(g, o.direction)
+
+
+def _reference_head(g, pos, u, v):
+    """Head of edge uv as the per-edge loop computed it: the strictly
+    higher-degree endpoint by g.degree(), a tie to the one later in pos."""
+    du, dv = g.degree(u), g.degree(v)
+    if du != dv:
+        return u if du > dv else v
+    return u if pos[u] > pos[v] else v
+
+
+def _reference_estimate(g, p, one_sided=False, full_sweep=False):
+    n, m = g.n, g.m
+    pos = list(range(n))
+    if full_sweep:
+        samples = list(range(n))
+    else:
+        s = p.s if p.s is not None else sample_count(p.epsilon, p.delta, g.max_degree())
+        rng = random.Random(p.seed)
+        samples = [rng.randrange(n) for _ in range(s)]
+    rhos = [sum(1 for w in g.neighbors(v) if _reference_head(g, pos, v, w) == v)
+            for v in samples]
+    acc = math.fsum(r * math.log2(r) for r in rhos if r)
+    h = math.log2(m) - (n / (len(samples) * m)) * acc
+    return h + p.epsilon if one_sided else h
+
+
+def _degree_tied_graphs():
+    """Regular graphs, cliques, cycles, stars, complete bipartite graphs and
+    a few random ones: most edges join endpoints of equal degree."""
+    for seed, (n, d) in enumerate([(6, 3), (10, 3), (12, 4), (20, 6), (16, 5), (9, 2), (30, 3)]):
+        yield random_regular_graph(n, d, seed=seed)
+    for k in range(2, 8):
+        yield Graph(k, list(itertools.combinations(range(k), 2)))
+    for n in range(3, 12):
+        yield Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    for n in range(2, 9):
+        yield Graph(n, [(n // 2, i) for i in range(n) if i != n // 2])
+    for a, b in [(2, 2), (2, 3), (3, 3), (3, 5)]:
+        yield Graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+    for seed in range(20):
+        yield random_graph(10, 15, seed=seed)
+
+
+def test_biased_orientation_matches_edge_head_loop_tie_for_tie():
+    rng = random.Random(7)
+    for g in _degree_tied_graphs():
+        orders = [None, list(range(g.n))[::-1]] + [rng.sample(range(g.n), g.n) for _ in range(3)]
+        for order in orders:
+            pos = list(range(g.n))
+            for i, v in enumerate(order or ()):
+                pos[v] = i
+            want = []
+            for (u, v) in g.edges:
+                head = _reference_head(g, pos, u, v)
+                want.append((v if head == u else u, head))
+            o = biased_orientation(g, order)
+            assert o.direction == tuple(want), (g.edges, order)
+            assert o == Orientation.from_directions(g, want)
+            assert [local_indegree(g, v, pos) for v in range(g.n)] == list(o.indegrees)
+            if order is None:
+                assert [local_indegree(g, v) for v in range(g.n)] == list(o.indegrees)
+
+
+def test_estimator_matches_edge_head_loop_tie_for_tie():
+    for g in _degree_tied_graphs():
+        if g.m < g.n:
+            continue
+        for seed, (eps, s) in enumerate([(2.0, None), (0.5, None), (1.0, 7), (0.25, 1)]):
+            p = EstimatorParams(eps, 0.05, seed=seed, s=s)
+            for kw in ({}, {"one_sided": True}, {"full_sweep": True}):
+                assert estimate_entropy(g, p, **kw) == _reference_estimate(g, p, **kw), g.edges

@@ -1,6 +1,9 @@
 """Property tests of the text formats: serializing and parsing round-trips,
-and mutated or truncated files make the CLI exit 0 or 2, never raise."""
+mutated or truncated files make the CLI exit 0 or 2, never raise, and the
+id parsers agree with a plain int() parse on every input."""
 
+import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,10 +11,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
+from minent import io as mio  # noqa: E402
 from minent.cli import main  # noqa: E402
 from minent.core import Graph, IntervalSet, SetSystem  # noqa: E402
-from minent.io import (parse_graph, parse_intervals, parse_setcover,  # noqa: E402
-                       serialize_graph, serialize_intervals, serialize_setcover)
+from minent.io import (MAX_GRAPH_VERTICES, ParseError, parse_graph,  # noqa: E402
+                       parse_intervals, parse_setcover, serialize_graph,
+                       serialize_intervals, serialize_setcover)
 
 
 @st.composite
@@ -92,3 +97,138 @@ def test_mutated_input_exits_0_or_2(tmp_path, capsys, case, data):
     f.write_text(mutated)
     assert main(argv + ["--input", str(f)]) in (0, 2)
     assert "Traceback" not in capsys.readouterr().err
+
+
+# Reference parsers: every id through int(), one line at a time.
+
+
+def _reference_records(text, word, fields):
+    lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines()) if ln.strip()]
+    ln, header = lines[0] if lines else (1, "")
+    parts = header.split()
+    if parts[:1] != [word] or len(parts) != len(fields) + 1:
+        usage = " ".join([word] + [f"<{f}>" for f in fields])
+        raise ParseError(f"expected header '{usage}'", ln)
+    try:
+        sizes = [int(p) for p in parts[1:]]
+    except ValueError:
+        raise ParseError(f"non-integer {word} header", ln)
+    if min(sizes) < 0:
+        raise ParseError(f"negative size in {word} header", ln)
+    return ln, sizes, lines[1:]
+
+
+def _reference_parse_graph(text):
+    ln, (n, m), body = _reference_records(text, "graph", ("n", "m"))
+    if n > MAX_GRAPH_VERTICES:
+        raise ParseError(f"more than {MAX_GRAPH_VERTICES} vertices", ln)
+    if len(body) not in (m, m + 1):
+        raise ParseError(f"expected {m} edge lines", ln)
+    edges = []
+    for eln, raw in body[:m]:
+        toks = raw.split()
+        if len(toks) != 2:
+            raise ParseError("expected '<u> <v>'", eln)
+        try:
+            edges.append((int(toks[0]), int(toks[1])))
+        except ValueError:
+            raise ParseError("non-integer vertex id", eln)
+    weights = None
+    if len(body) == m + 1:
+        wln, raw = body[m]
+        toks = raw.split()
+        if toks[0] != "weights" or len(toks) != n + 1:
+            raise ParseError(f"expected 'weights' line with {n} reals", wln)
+        try:
+            weights = [float(t) for t in toks[1:]]
+        except ValueError:
+            raise ParseError("non-real vertex weight", wln)
+    return mio._build(ln, Graph, n, edges, weights)
+
+
+def _reference_parse_setcover(text):
+    ln, (n, k), body = _reference_records(text, "setcover", ("n", "k"))
+    if len(body) != k:
+        raise ParseError(f"expected {k} set lines", ln)
+    sets = []
+    for sln, raw in body:
+        try:
+            sets.append([int(t) for t in raw.split()])
+        except ValueError:
+            raise ParseError("non-integer element id", sln)
+    ids = sum(map(len, sets))
+    if n > ids:
+        raise ParseError(f"{n} elements cannot be covered by {ids} element ids", ln)
+    return mio._build(ln, SetSystem, n, sets)
+
+
+def _outcome(parse, text):
+    """The parsed object, or the exception's type, message and line."""
+    try:
+        return parse(text)
+    except Exception as exc:  # noqa: BLE001 - any difference must show
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def _assert_parsers_agree(text):
+    assert _outcome(parse_graph, text) == _outcome(_reference_parse_graph, text), text
+    assert _outcome(parse_setcover, text) == _outcome(_reference_parse_setcover, text), text
+
+
+# Spellings int() accepts besides the canonical one, ids out of range, and
+# tokens int() rejects.
+ODD_TOKENS = ["0", "1", "2", "3", "5", "-1", "-0", "007", "+3", "+0", "1_0", "\u0663",
+              "\uff13", "\u0661\u0662", "1.0", "0x1", "1e0", "x", "_1", "", "9" * 30]
+
+
+def test_parsers_match_int_parse_on_odd_tokens():
+    for a, b in itertools.product(ODD_TOKENS, repeat=2):
+        _assert_parsers_agree(f"graph 4 2\n0 1\n{a} {b}\n")
+        _assert_parsers_agree(f"graph 4 2\n{a} {b}\n2 x\n")
+        _assert_parsers_agree(f"graph 4 2\n{a} 3\n1 2 3\n")
+        _assert_parsers_agree(f"graph 4 2\n0\t1\n{a}  {b}\n")
+        _assert_parsers_agree(f"setcover 4 2\n0 {a} 1\n{b} 2 3\n")
+        _assert_parsers_agree(f"setcover 4 2\n0 1 2 3\n{a} {b}\n")
+        _assert_parsers_agree(f"setcover 2 2\n{a} 1\nx {b}\n")
+    # Separators other than one space, and 2m tokens spread unevenly.
+    for edges in ("0\t1\t2\n5", "0 1 2\n5", "0\t1\n2\u00a05"):
+        _assert_parsers_agree(f"graph 6 2\n{edges}\n")
+
+
+# Tokens a mutation may write: small ints in all their spellings, the odd
+# tokens above, and reals.
+odd = st.one_of(st.integers(-3, 12).map(str), st.sampled_from(ODD_TOKENS),
+                st.integers(0, 12).map(lambda i: f"{i:03d}"),
+                st.sampled_from(["nan", "0.5", "weights"]))
+
+FILES = ["graph 4 3\n0 1\n1 2\n3 1\n", "graph 3 2\n0 1\n1 2\nweights 0.25 0.5 0.25\n",
+         "setcover 4 3\n0 1 2\n2 3\n3 0\n", "setcover 3 2\n0 1\n1 2\n"]
+
+
+@settings(max_examples=400)
+@given(text=st.sampled_from(FILES), data=st.data())
+def test_parsers_match_int_parse_on_mutated_files(text, data):
+    lines = [ln.split() for ln in text.splitlines()]
+    slots = [(i, j) for i, toks in enumerate(lines) for j in range(len(toks))]
+    for i, j in data.draw(st.lists(st.sampled_from(slots), max_size=4)):
+        lines[i][j] = data.draw(odd)
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(1, len(lines) - 1))
+        lines[i].insert(data.draw(st.integers(0, len(lines[i]))), data.draw(odd))
+    _assert_parsers_agree("".join(" ".join(toks) + "\n" for toks in lines))
+
+
+def test_id_table_is_bounded_by_the_input(monkeypatch):
+    # A 10^7-vertex header with one edge: the parser's own allocations stay
+    # small (Graph itself, which allocates per vertex, is stubbed out here).
+    monkeypatch.setattr(mio, "Graph", lambda n, edges, weights: (n, edges, weights))
+    tracemalloc.start()
+    try:
+        parsed = parse_graph(f"graph {MAX_GRAPH_VERTICES} 1\n0 {MAX_GRAPH_VERTICES - 1}\n")
+        with pytest.raises(ParseError, match="cannot be covered"):
+            parse_setcover(f"setcover {MAX_GRAPH_VERTICES} 1\n0 1\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed == (MAX_GRAPH_VERTICES, [(0, MAX_GRAPH_VERTICES - 1)], None)
+    assert peak < 100_000
