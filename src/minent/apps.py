@@ -10,6 +10,7 @@ from .core import BudgetError, Graph, SetSystem, ValidationError
 from .coloring import Coloring, coloring_entropy
 
 DEFAULT_WILDCARD_CAP = 20
+HAPLOTYPE_CAP = 10 ** 5  # most distinct haplotypes haplotype_instance builds
 
 
 @dataclass(frozen=True)
@@ -60,15 +61,15 @@ class JointTable:
         return tuple(math.fsum(row) for row in self.probs)
 
 
-def compatible_haplotypes(genotype: str, max_wildcards: int = DEFAULT_WILDCARD_CAP) -> list[str]:
+def compatible_haplotypes(genotype: str) -> list[str]:
     """All binary strings matching the genotype on every non-? position, in
     lexicographic order."""
     if any(ch not in "01?" for ch in genotype):
         raise ValidationError(f"invalid genotype character in {genotype!r}")
     holes = [i for i, ch in enumerate(genotype) if ch == "?"]
-    if len(holes) > max_wildcards:
+    if len(holes) > DEFAULT_WILDCARD_CAP:
         raise BudgetError(
-            f"genotype has {len(holes)} wildcards, above the cap of {max_wildcards}")
+            f"genotype has {len(holes)} wildcards, above the cap of {DEFAULT_WILDCARD_CAP}")
     out = []
     for bits in range(1 << len(holes)):
         chars = list(genotype)
@@ -83,8 +84,7 @@ def explains(haplotype: str, genotype: str) -> bool:
         g == "?" or h == g for h, g in zip(haplotype, genotype))
 
 
-def haplotype_instance(panel: GenotypePanel, cap: int = 10 ** 5,
-                       max_wildcards: int = DEFAULT_WILDCARD_CAP) -> tuple[SetSystem, list[str]]:
+def haplotype_instance(panel: GenotypePanel) -> tuple[SetSystem, list[str]]:
     """Build the set-cover instance of haplotype phasing: the universe is the
     genotypes (duplicates kept distinct) and each distinct compatible
     haplotype contributes the set of genotypes it explains. Greedy set cover
@@ -96,16 +96,16 @@ def haplotype_instance(panel: GenotypePanel, cap: int = 10 ** 5,
     pair."""
     haplotypes: set[str] = set()
     for g in panel.genotypes:
-        haplotypes.update(compatible_haplotypes(g, max_wildcards))
-        if len(haplotypes) > cap:
+        haplotypes.update(compatible_haplotypes(g))
+        if len(haplotypes) > HAPLOTYPE_CAP:
             raise BudgetError(
-                f"more than {cap} distinct haplotypes; lower the per-genotype "
+                f"more than {HAPLOTYPE_CAP} distinct haplotypes; lower the per-genotype "
                 "wildcard count or raise the cap")
     labels = sorted(haplotypes)
     index = {h: j for j, h in enumerate(labels)}
     sets: list[list[int]] = [[] for _ in labels]
     for i, g in enumerate(panel.genotypes):
-        for h in compatible_haplotypes(g, max_wildcards):
+        for h in compatible_haplotypes(g):
             sets[index[h]].append(i)
     return SetSystem(len(panel.genotypes), sets), labels
 

@@ -11,8 +11,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import (BudgetError, FeasibilityError, Graph, IntervalSet,
-                   ValidationError, entropy_of_counts, intervals_intersect,
-                   max_point_depth, xlog2x_table)
+                   ValidationError, _xlog2x, entropy_of_counts, max_point_depth,
+                   xlog2x_table)
 
 LOG2_E = math.log2(math.e)
 DEFAULT_COLORING_CAP = 12
@@ -60,30 +60,32 @@ class LayerDecomposition:
 
 
 def coloring_entropy(g: Graph, c: Coloring) -> float:
-    """Entropy (bits) of the color-class mass distribution: uniform 1/n per
-    vertex, or the vertex weights when the graph is weighted."""
+    """Entropy (bits) of the color-class masses: each vertex weighs 1, or
+    its vertex weight when the graph is weighted, and the masses are
+    normalized by their total."""
     if len(c.colors) != g.n:
         raise FeasibilityError("coloring length mismatch")
     if not g.is_proper_coloring(c.colors):
         raise FeasibilityError("coloring is not proper")
-    if g.weights is None:
-        return entropy_of_counts(c.class_counts())
-    masses: dict[int, float] = {}
-    for v, col in enumerate(c.colors):
-        masses[col] = masses.get(col, 0.0) + g.weights[v]
-    return -math.fsum(p * math.log2(p) for p in masses.values() if p > 0)
+    masses = dict.fromkeys(c.colors, 0)
+    for col, w in zip(c.colors, g.weights or (1,) * g.n):
+        masses[col] += w
+    return entropy_of_counts(masses.values())
 
 
-def exact_mis(g: Graph, weights: Optional[Sequence[float]] = None) -> tuple[int, ...]:
-    """Maximum-cardinality (or maximum-weight) independent set by branch and
-    bound; returns the lexicographically smallest optimum."""
-    n = g.n
+def exact_mis(g: Graph, vertices: Optional[Sequence[int]] = None) -> tuple[int, ...]:
+    """Maximum-cardinality (or, on a weighted graph, maximum-weight)
+    independent set of the subgraph induced by `vertices` (default: all of
+    g) by branch and bound; returns the lexicographically smallest optimum."""
+    vs = range(g.n) if vertices is None else sorted(vertices)
+    n = len(vs)
     if n > 40:
         raise BudgetError("exact MIS oracle limited to 40 vertices")
     if n == 0:
         return ()
-    w = [1.0] * n if weights is None else [float(x) for x in weights]
-    adj = g.adjacency_masks()
+    w = [1.0] * n if g.weights is None else [g.weights[v] for v in vs]
+    pos = {v: i for i, v in enumerate(vs)}
+    adj = [sum(1 << pos[u] for u in g.adjacency[v] if u in pos) for v in vs]
     suffix = [0.0] * (n + 1)
     for v in range(n - 1, -1, -1):
         suffix[v] = suffix[v + 1] + w[v]
@@ -106,22 +108,29 @@ def exact_mis(g: Graph, weights: Optional[Sequence[float]] = None) -> tuple[int,
         recurse(v + 1, chosen_mask, chosen, cur)
 
     recurse(0, 0, [], 0.0)
-    return best_set
+    return tuple(vs[i] for i in best_set)
 
 
-def approx_mis(g: Graph) -> tuple[int, ...]:
-    """Minimum-degree greedy independent set: repeatedly take a minimum-degree
-    vertex of the residual graph (ties to the smallest index) and delete its
-    closed neighborhood. (Delta+2)/3-approximate on max-degree-Delta graphs.
+def approx_mis(g: Graph, vertices: Optional[Sequence[int]] = None) -> tuple[int, ...]:
+    """Minimum-degree greedy independent set of the subgraph induced by
+    `vertices` (default: all of g): repeatedly take a minimum-degree vertex
+    of the residual graph (ties to the smallest index) and delete its closed
+    neighborhood. (Delta+2)/3-approximate on max-degree-Delta graphs.
 
     A lazy heap of (residual degree, vertex) entries serves the picks, in
     O((n + m) log n) (Matula & Beck's degree queue): degrees only fall, so an
     entry whose degree is above the vertex's current one is stale and
     skipped, and the first live entry popped is the minimum over the
     residual graph."""
-    alive = [True] * g.n
-    degree = [g.degree(v) for v in range(g.n)]
-    heap = [(d, v) for v, d in enumerate(degree)]
+    adjacency = g.adjacency
+    vs = range(g.n) if vertices is None else vertices
+    alive = [False] * g.n
+    for v in vs:
+        alive[v] = True
+    degree = [0] * g.n
+    for v in vs:
+        degree[v] = sum(map(alive.__getitem__, adjacency[v]))
+    heap = [(degree[v], v) for v in vs]
     heapq.heapify(heap)
     chosen = []
     while heap:
@@ -129,53 +138,48 @@ def approx_mis(g: Graph) -> tuple[int, ...]:
         if not alive[v] or d != degree[v]:
             continue
         chosen.append(v)
-        removed = [v] + [u for u in g.neighbors(v) if alive[u]]
+        removed = [v] + [u for u in adjacency[v] if alive[u]]
         for u in removed:
             alive[u] = False
         for u in removed:
-            for w in g.neighbors(u):
+            for w in adjacency[u]:
                 if alive[w]:
                     degree[w] -= 1
                     heapq.heappush(heap, (degree[w], w))
     return tuple(sorted(chosen))
 
 
-def _induced(g: Graph, vertices: Sequence[int]) -> tuple[Graph, list[int]]:
-    vertices = sorted(vertices)
-    index = {v: i for i, v in enumerate(vertices)}
-    edges = [(index[u], index[v]) for (u, v) in g.edges
-             if u in index and v in index]
-    return Graph(len(vertices), edges), vertices
-
-
 def greedy_coloring(g: Graph, oracle: str = "exact") -> Coloring:
-    """Iteratively remove a maximum (or approximate-maximum) independent set,
-    assigning a new color to each removed set. The exact oracle uses vertex
-    weights when the graph is weighted."""
+    """Iteratively remove a maximum (or approximate-maximum) independent set
+    of the uncolored vertices, assigning a new color to each removed set.
+    The exact oracle uses vertex weights when the graph is weighted."""
     if oracle not in ("exact", "approx"):
         raise ValidationError(f"unknown oracle {oracle!r}")
+    mis = exact_mis if oracle == "exact" else approx_mis
     remaining = list(range(g.n))
     colors = [0] * g.n
     color = 0
     while remaining:
-        sub, back = _induced(g, remaining)
-        if oracle == "exact":
-            w = [g.weights[v] for v in back] if g.weights is not None else None
-            picked = exact_mis(sub, w)
-        else:
-            picked = approx_mis(sub)
         color += 1
-        taken = {back[i] for i in picked}
-        for v in taken:
+        for v in mis(g, remaining):
             colors[v] = color
-        remaining = [v for v in remaining if v not in taken]
+        remaining = [v for v in remaining if not colors[v]]
     return Coloring(colors)
+
+
+class _XLog2X:
+    """x * log2(x) by subscript: the weighted search reads its real class
+    masses through this the way the unweighted one indexes xlog2x_table."""
+
+    __getitem__ = staticmethod(_xlog2x)
 
 
 def exact_coloring(g: Graph, limit: int = DEFAULT_COLORING_CAP) -> Coloring:
     """Minimum-entropy proper coloring by canonical set-partition search with
     dominance-envelope pruning; returns the lexicographically smallest
-    optimal canonical color vector."""
+    optimal canonical color vector. The objective is coloring_entropy's: a
+    class weighs its vertices' weights on a weighted graph, 1 per vertex
+    otherwise."""
     n = g.n
     if n > limit:
         raise BudgetError(f"exact coloring oracle limited to {limit} vertices")
@@ -183,54 +187,62 @@ def exact_coloring(g: Graph, limit: int = DEFAULT_COLORING_CAP) -> Coloring:
         raise ValidationError("empty graph has no coloring")
     adj = g.adjacency_masks()
 
-    xlog = xlog2x_table(n)
-    log2n = math.log2(n)
+    mass = g.weights or [1] * n
+    xlog = _XLog2X() if g.weights else xlog2x_table(n)  # a table for integer masses
+    rest = [0] * (n + 1)  # rest[v]: the mass of vertices v..n-1
+    for v in range(n - 1, -1, -1):
+        rest[v] = rest[v + 1] + mass[v]
+    # H = log2(total) - S/total, S = sum of m*log2(m) over class masses, as in
+    # coloring_entropy: with total = 1, weights summing to 1 only within
+    # WEIGHT_TOL would put every coloring above the seed's 1e-9 slack.
+    total = rest[0]
+    log2_total = math.log2(total)
 
-    # Seed the incumbent entropy from an unweighted greedy coloring; the
-    # +1e-9 slack keeps the search obliged to rediscover an actual optimum,
-    # preserving the lexicographic tie-break.
-    seed_graph = g if g.weights is None else Graph(g.n, g.edges)
-    best_h = coloring_entropy(seed_graph, greedy_coloring(seed_graph)) + 1e-9
+    # Seed the incumbent entropy from the greedy coloring; the +1e-9 slack
+    # keeps the search obliged to rediscover an actual optimum, preserving
+    # the lexicographic tie-break.
+    best_h = coloring_entropy(g, greedy_coloring(g)) + 1e-9
     best_colors: Optional[tuple[int, ...]] = None
 
     class_masks: list[int] = []
-    class_counts: list[int] = []
+    masses: list[float] = []
     colors = [0] * n
 
-    def envelope(remaining: int) -> float:
+    def envelope(v: int) -> float:
         # Every completion is dominated by "pour all remaining vertices into
         # the largest class", so its entropy is a valid lower bound.
-        if not class_counts:
+        if not masses:
             return 0.0
-        cmax = max(class_counts)
-        acc = xlog[cmax + remaining] - xlog[cmax]
-        acc += sum(xlog[c] for c in class_counts)
-        return log2n - acc / n
+        cmax = max(masses)
+        acc = xlog[cmax + rest[v]] - xlog[cmax]
+        acc += sum(xlog[c] for c in masses)
+        return log2_total - acc / total
 
     def recurse(v: int) -> None:
         nonlocal best_h, best_colors
         if v == n:
-            h = log2n - sum(xlog[c] for c in class_counts) / n
+            h = log2_total - sum(xlog[c] for c in masses) / total
             if h < best_h - 1e-12:
                 best_h = h
                 best_colors = tuple(colors)
             return
-        if envelope(n - v) >= best_h - 1e-12:
+        if envelope(v) >= best_h - 1e-12:
             return
         for i in range(len(class_masks)):
             if not (class_masks[i] & adj[v]):
+                before = masses[i]
                 class_masks[i] |= 1 << v
-                class_counts[i] += 1
+                masses[i] = before + mass[v]
                 colors[v] = i + 1
                 recurse(v + 1)
                 class_masks[i] &= ~(1 << v)
-                class_counts[i] -= 1
+                masses[i] = before
         class_masks.append(1 << v)
-        class_counts.append(1)
+        masses.append(mass[v])
         colors[v] = len(class_masks)
         recurse(v + 1)
         class_masks.pop()
-        class_counts.pop()
+        masses.pop()
 
     recurse(0)
     assert best_colors is not None
@@ -260,52 +272,34 @@ def jk_rows(k: int) -> list[list[int]]:
     return rows
 
 
-def _two_color_layer(iv: IntervalSet, layer: list[int], sorted_pos: dict[int, int],
-                     even: int, odd: int, colors: list[int]) -> None:
+def _two_color_layer(iv: IntervalSet, layer: list[int], even: int, odd: int,
+                     colors: list[int]) -> None:
     """2-color the interval graph induced by a layer, per connected component;
-    the larger side takes the even (lower) color, ties going to the side
-    containing the earliest interval in sorted order."""
+    the larger side takes the even (lower) color, ties going to the side of
+    the component's first interval in `layer` (interval_mec's sorted order).
+
+    One scan in left-endpoint order: the intervals still open at a start
+    (touching endpoints do not overlap) are its earlier neighbors. None
+    starts a component, one is on the other side, two make a triangle."""
     ivs = iv.intervals
-    adj = {v: [] for v in layer}
-    for a in range(len(layer)):
-        for b in range(a + 1, len(layer)):
-            u, v = layer[a], layer[b]
-            if intervals_intersect(ivs[u], ivs[v]):
-                adj[u].append(v)
-                adj[v].append(u)
     side: dict[int, int] = {}
-    seen = set()
-    for root in layer:
-        if root in seen:
-            continue
-        comp = [root]
-        side[root] = 0
-        seen.add(root)
-        queue = [root]
-        while queue:
-            u = queue.pop()
-            for w in adj[u]:
-                if w in seen:
-                    if side[w] == side[u]:
-                        raise FeasibilityError("layer induces an odd cycle")
-                    continue
-                seen.add(w)
-                side[w] = 1 - side[u]
-                comp.append(w)
-                queue.append(w)
-        zero = [v for v in comp if side[v] == 0]
-        one = [v for v in comp if side[v] == 1]
-        if len(zero) > len(one):
-            big, small = zero, one
-        elif len(one) > len(zero):
-            big, small = one, zero
+    tally: dict[int, list[int]] = {}  # v -> its component's side sizes
+    open_: list[int] = []
+    for v in sorted(layer, key=lambda u: ivs[u][0]):
+        open_ = [u for u in open_ if ivs[u][1] > ivs[v][0]]
+        if len(open_) > 1:
+            raise FeasibilityError("layer induces an odd cycle")
+        if open_:
+            side[v], tally[v] = 1 - side[open_[0]], tally[open_[0]]
         else:
-            first = min(comp, key=lambda v: sorted_pos[v])
-            big, small = (zero, one) if side[first] == 0 else (one, zero)
-        for v in big:
-            colors[v] = even
-        for v in small:
-            colors[v] = odd
+            side[v], tally[v] = 0, [0, 0]
+        tally[v][side[v]] += 1
+        open_.append(v)
+    for v in layer:
+        t = tally[v]
+        if len(t) == 2:  # v is its component's first interval: settle the even side
+            t.append(side[v] if t[0] == t[1] else int(t[1] > t[0]))
+        colors[v] = even if side[v] == t[2] else odd
 
 
 def interval_mec(iv: IntervalSet) -> tuple[Coloring, LayerDecomposition]:
@@ -321,7 +315,6 @@ def interval_mec(iv: IntervalSet) -> tuple[Coloring, LayerDecomposition]:
     if n == 0:
         raise ValidationError("empty interval set")
     order = sorted(range(n), key=lambda v: (ivs[v][1], ivs[v][0], v))
-    sorted_pos = {v: i for i, v in enumerate(order)}
     layers: list[list[int]] = []
     for v in order:
         placed = False
@@ -338,7 +331,7 @@ def interval_mec(iv: IntervalSet) -> tuple[Coloring, LayerDecomposition]:
     for u in layers[0]:
         colors[u] = 1
     for i, layer in enumerate(layers[1:], start=2):
-        _two_color_layer(iv, layer, sorted_pos, 2 * i - 2, 2 * i - 1, colors)
+        _two_color_layer(iv, layer, 2 * i - 2, 2 * i - 1, colors)
     lower = entropy_of_counts([len(s) for s in layers])
     return (Coloring(colors),
             LayerDecomposition(tuple(tuple(sorted(s)) for s in layers), lower))

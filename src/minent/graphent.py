@@ -13,6 +13,8 @@ from .core import BudgetError, Graph, ValidationError
 from .coloring import DEFAULT_COLORING_CAP, coloring_entropy, exact_coloring, greedy_coloring
 
 LN2 = math.log(2.0)
+MIS_LIMIT = 10 ** 5  # most maximal independent sets graph_entropy enumerates
+MAX_FW_STEPS = 200_000  # Frank-Wolfe steps before ConvergenceError
 
 
 class ConvergenceError(RuntimeError):
@@ -34,7 +36,7 @@ class EntropyWitness:
     value: float
 
 
-def enumerate_maximal_independent_sets(g: Graph, limit: int = 10 ** 5) -> list[tuple[int, ...]]:
+def enumerate_maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:
     """All maximal independent sets (Bron-Kerbosch with pivoting on the
     non-adjacency relation), in canonical sorted order."""
     n = g.n
@@ -52,8 +54,8 @@ def enumerate_maximal_independent_sets(g: Graph, limit: int = 10 ** 5) -> list[t
         r, p, x = stack.pop()
         if p == 0 and x == 0:
             out.append(r)
-            if len(out) > limit:
-                raise BudgetError(f"more than {limit} maximal independent sets")
+            if len(out) > MIS_LIMIT:
+                raise BudgetError(f"more than {MIS_LIMIT} maximal independent sets")
             continue
         # pivot: vertex of p|x maximizing coverage of p
         px = p | x
@@ -71,8 +73,7 @@ def enumerate_maximal_independent_sets(g: Graph, limit: int = 10 ** 5) -> list[t
     return sets
 
 
-def graph_entropy(g: Graph, tol: float = 1e-6, limit: int = 10 ** 5,
-                  max_iter: int = 200_000) -> tuple[float, EntropyWitness]:
+def graph_entropy(g: Graph, tol: float = 1e-6) -> tuple[float, EntropyWitness]:
     """H(G) = min over p in STAB(G) of -(1/n) sum_v log2 p_v, solved by
     pairwise Frank-Wolfe over the simplex of maximal independent sets with
     exact line search; stops when the conditional-gradient duality gap
@@ -82,7 +83,7 @@ def graph_entropy(g: Graph, tol: float = 1e-6, limit: int = 10 ** 5,
     n = g.n
     if n == 0:
         raise ValidationError("empty graph")
-    sets = enumerate_maximal_independent_sets(g, limit)
+    sets = enumerate_maximal_independent_sets(g)
     k = len(sets)
     inc = np.zeros((k, n))
     for i, s in enumerate(sets):
@@ -115,7 +116,7 @@ def graph_entropy(g: Graph, tol: float = 1e-6, limit: int = 10 ** 5,
         return lo
 
     gap = math.inf
-    for _ in range(max_iter):
+    for _ in range(MAX_FW_STEPS):
         grad = -(inc @ (1.0 / p)) / (n * LN2)  # d value / d q_S, in bits
         fw = int(np.argmin(grad))
         gap = float(grad @ q - grad[fw])
@@ -168,7 +169,10 @@ def greedy_vs_entropy(g: Graph, constant: float = 4.0, tol: float = 1e-6) -> Gre
     """Compare the greedy-coloring entropy g against the graph entropy H and
     the bound g <= H + log2(H + 1) + constant; when the exact coloring oracle
     is affordable, also check the relaxation chain
-    H <= chromatic entropy <= g."""
+    H <= chromatic entropy <= g. All three are taken under the uniform
+    distribution, the one graph_entropy uses: vertex weights are ignored."""
+    if g.weights is not None:
+        g = Graph(g.n, g.edges)
     greedy = greedy_coloring(g, oracle="exact")
     g_bits = coloring_entropy(g, greedy)
     h_bits, _ = graph_entropy(g, tol)

@@ -14,6 +14,7 @@ from .apps import GenotypePanel, JointTable
 
 # Largest vertex count a graph header may declare: Graph allocates from it.
 MAX_GRAPH_VERTICES = 10 ** 7
+MAX_TRIES = 10_000  # draws a rejection-sampling generator makes before giving up
 
 
 class ParseError(ValueError):
@@ -236,14 +237,14 @@ def random_connected_graph(n: int, m: int, seed: int = 0) -> Graph:
     return Graph(n, sorted(edges))
 
 
-def random_regular_graph(n: int, d: int, seed: int = 0, max_tries: int = 10_000) -> Graph:
+def random_regular_graph(n: int, d: int, seed: int = 0) -> Graph:
     """Pairing-model d-regular graph, rejecting pairings with loops or
     repeated edges."""
     if n * d % 2 != 0 or d >= n:
         raise ValidationError("need n*d even and d < n")
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(d)]
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         rng.shuffle(stubs)
         edges = set()
         ok = True
@@ -262,10 +263,10 @@ def random_regular_graph(n: int, d: int, seed: int = 0, max_tries: int = 10_000)
     raise ValidationError("pairing model failed to produce a simple graph")
 
 
-def random_intervals(n: int, seed: int = 0, grid: int = 0) -> IntervalSet:
-    """Intervals with rational endpoints on a uniform grid over [0, 1]."""
+def random_intervals(n: int, seed: int = 0) -> IntervalSet:
+    """Intervals with endpoints on the uniform grid of max(2n, 8) steps over [0, 1]."""
     rng = random.Random(seed)
-    denom = grid if grid > 0 else max(2 * n, 8)
+    denom = max(2 * n, 8)
     ivs = []
     for _ in range(n):
         a, b = rng.sample(range(denom + 1), 2)
@@ -274,13 +275,13 @@ def random_intervals(n: int, seed: int = 0, grid: int = 0) -> IntervalSet:
     return IntervalSet(ivs)
 
 
-def random_setcover(n: int, k: int, seed: int = 0, max_tries: int = 10_000) -> SetSystem:
+def random_setcover(n: int, k: int, seed: int = 0) -> SetSystem:
     """k uniformly random nonempty subsets of [0, n); resampled until every
     element is covered."""
     if n < 1:
         raise ValidationError("universe must be nonempty")
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         sets = []
         for _ in range(k):
             members = [x for x in range(n) if rng.random() < 0.5]

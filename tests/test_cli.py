@@ -1,4 +1,5 @@
 import json
+import random
 import time
 from fractions import Fraction
 
@@ -277,3 +278,86 @@ def test_report_numbers_roundtrip(tmp_path, capsys):
     _, out = _run(capsys, ["setcover", "greedy", "--input", str(f), "--json"])
     report = json.loads(out)
     assert json.loads(json.dumps(report)) == report
+
+
+TINY_GRAPH = "graph 4 4\n0 1\n1 2\n2 3\n0 3\n"
+
+SUCCESS_CASES = [
+    (["setcover", "greedy"], WORKED_SC, {"entropy_bits", "counts", "assignment", "rounds"}),
+    (["setcover", "exact"], WORKED_SC, {"entropy_bits", "counts", "assignment"}),
+    (["setcover", "certify"], WORKED_SC, {"entropy_bits", "certificate", "violations"}),
+    (["orient", "biased"], TINY_GRAPH, {"entropy_bits", "indegrees", "direction"}),
+    (["orient", "exact"], TINY_GRAPH, {"entropy_bits", "indegrees", "direction"}),
+    (["orient", "estimate"], TINY_GRAPH, {"H", "s", "epsilon", "delta"}),
+    (["color", "greedy"], TINY_GRAPH, {"entropy_bits", "classes"}),
+    (["color", "greedy-approx"], TINY_GRAPH, {"entropy_bits", "classes"}),
+    (["color", "exact"], TINY_GRAPH, {"entropy_bits", "classes"}),
+    (["color", "interval"], "intervals 3\n0/1 2/1\n1/1 3/1\n2/1 4/1\n",
+     {"entropy_bits", "classes", "layers", "lower_bound_H"}),
+    (["graphent", "compute"], TINY_GRAPH, {"H_bits", "marginals", "support"}),
+    (["graphent", "split"], TINY_GRAPH, {"gap_bits"}),
+    (["graphent", "greedy-bound"], TINY_GRAPH,
+     {"g_bits", "H_bits", "bound_rhs", "chromatic_entropy"}),
+    (["app", "haplotype"], "0?\n?1\n", {"entropy_bits", "haplotypes", "assignment"}),
+    (["app", "confusability"], "x,0,1\na,0.25,0.25\nb,0.25,0\nc,0,0.25\n",
+     {"edges", "marginals", "classes", "rate_bits"}),
+]
+
+
+@pytest.mark.parametrize("argv, text, keys", SUCCESS_CASES,
+                         ids=["-".join(argv) for argv, _, _ in SUCCESS_CASES])
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+def test_cli_subcommand_succeeds(tmp_path, capsys, argv, text, keys, as_json):
+    f = tmp_path / "in.txt"
+    f.write_text(text)
+    code, out = _run(capsys, argv + ["--input", str(f), "--assert-bound"]
+                     + ["--json"] * as_json)
+    assert code == 0
+    if as_json:
+        report = json.loads(out)
+    else:
+        report = dict(line.split(": ", 1) for line in out.splitlines())
+    assert keys | {"checks", "seed", "timing_ms"} <= set(report)
+
+
+def test_cli_failed_bound_exits_1(tmp_path, capsys):
+    f = tmp_path / "c4.g"
+    f.write_text(TINY_GRAPH)
+    code, out = _run(capsys, ["graphent", "greedy-bound", "--input", str(f), "--json",
+                              "--constant", "-100", "--assert-bound"])
+    assert code == 1
+    assert json.loads(out)["checks"]["greedy_bound"] is False
+
+
+@pytest.mark.parametrize("kind, parse", [
+    ("graph", parse_graph), ("regular", parse_graph),
+    ("interval", parse_intervals), ("setcover", parse_setcover),
+])
+def test_cli_gen_random_parses_back(capsys, kind, parse):
+    argv = ["--kind", kind, "--n", "8", "--m", "10", "--k", "4", "--delta", "3", "--seed", "2"]
+    assert main(["gen", "random"] + argv) == 0
+    out = capsys.readouterr().out
+    assert parse(out) == gen_random(kind, seed=2, n=8, m=10, k=4, delta=3)
+
+
+def test_cli_weighted_coloring_objective(tmp_path, capsys):
+    # On a weighted graph `color exact` minimizes the same class-mass
+    # entropy `color greedy` reports, and `greedy-bound` compares the
+    # uniform-distribution values it documents.
+    from minent.io import random_graph
+    f = tmp_path / "w.g"
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randrange(4, 9)
+        g = random_graph(n, rng.randrange(0, n * (n - 1) // 2 + 1), seed=seed)
+        raw = [rng.random() for _ in range(n)]
+        f.write_text(serialize_graph(Graph(n, g.edges, [x / sum(raw) for x in raw])))
+        bits = {}
+        for action in ("exact", "greedy"):
+            code, out = _run(capsys, ["color", action, "--input", str(f), "--json"])
+            assert code == 0
+            bits[action] = json.loads(out)["entropy_bits"]
+        assert bits["exact"] <= bits["greedy"] + 1e-12, seed
+        code, out = _run(capsys, ["graphent", "greedy-bound", "--input", str(f), "--json",
+                                  "--assert-bound"])
+        assert code == 0, out

@@ -1,15 +1,16 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from minent.coloring import (LOG2_E, Coloring, approx_mis, coloring_entropy,
-                             exact_coloring, exact_mis, gen_jk,
+from minent.coloring import (LOG2_E, Coloring, _two_color_layer, approx_mis,
+                             coloring_entropy, exact_coloring, exact_mis, gen_jk,
                              greedy_coloring, interval_mec, jk_rows)
 from minent.core import (BudgetError, FeasibilityError, Graph, IntervalSet,
                          counts_to_distribution, dominates, interval_graph,
-                         max_point_depth)
+                         intervals_intersect, max_point_depth)
 from minent.io import random_bipartite_graph, random_intervals
 
 P3 = Graph(3, [(0, 1), (1, 2)])
@@ -17,30 +18,34 @@ C5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
 K3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
 
 
-def all_proper_partitions(g):
-    """Sorted class-count tuples of every proper coloring (canonical search)."""
+def proper_colorings(g):
+    """Every proper canonical color vector (colors 1..k in order of first
+    appearance), in lexicographic order."""
     adj = g.adjacency_masks()
-    masks, counts, out = [], [], []
+    masks, colors = [], [0] * g.n
 
     def rec(v):
         if v == g.n:
-            out.append(tuple(sorted(counts, reverse=True)))
+            yield tuple(colors)
             return
-        for i in range(len(masks)):
-            if not masks[i] & adj[v]:
-                masks[i] |= 1 << v
-                counts[i] += 1
-                rec(v + 1)
-                masks[i] &= ~(1 << v)
-                counts[i] -= 1
-        masks.append(1 << v)
-        counts.append(1)
-        rec(v + 1)
-        masks.pop()
-        counts.pop()
+        for i in range(len(masks) + 1):
+            if i == len(masks):
+                masks.append(0)
+            elif masks[i] & adj[v]:
+                continue
+            masks[i] |= 1 << v
+            colors[v] = i + 1
+            yield from rec(v + 1)
+            masks[i] &= ~(1 << v)
+            if not masks[i]:
+                masks.pop()
 
-    rec(0)
-    return out
+    return rec(0)
+
+
+def all_proper_partitions(g):
+    """Sorted class-count tuples of every proper coloring."""
+    return [tuple(sorted(Counter(c).values(), reverse=True)) for c in proper_colorings(g)]
 
 
 def test_coloring_entropy_p3():
@@ -78,7 +83,7 @@ def test_exact_mis():
 
 
 def test_exact_mis_weighted():
-    assert exact_mis(P3, weights=[0.1, 0.8, 0.1]) == (1,)
+    assert exact_mis(Graph(3, P3.edges, weights=[0.1, 0.8, 0.1])) == (1,)
 
 
 def test_exact_mis_budget():
@@ -150,6 +155,79 @@ def test_approx_mis_matches_recounting_greedy_tie_for_tie():
         assert approx_mis(g) == _min_degree_greedy(g), g.edges
 
 
+def _branch_and_bound_mis(g, w):
+    """Maximum-weight independent set of g under the weight list w (None:
+    unit weights) by the suffix-sum branch and bound, include-first, so the
+    lexicographically smallest optimum is found first."""
+    n = g.n
+    w = [1.0] * n if w is None else w
+    adj = g.adjacency_masks()
+    suffix = [0.0] * (n + 1)
+    for v in range(n - 1, -1, -1):
+        suffix[v] = suffix[v + 1] + w[v]
+    best = [-1.0, ()]
+
+    def recurse(v, chosen_mask, chosen, cur):
+        if cur + suffix[v] <= best[0] + 1e-12:
+            return
+        if v == n:
+            best[:] = [cur, tuple(chosen)]
+            return
+        if not (adj[v] & chosen_mask):
+            recurse(v + 1, chosen_mask | (1 << v), chosen + [v], cur + w[v])
+        recurse(v + 1, chosen_mask, chosen, cur)
+
+    recurse(0, 0, [], 0.0)
+    return best[1]
+
+
+def _induced_greedy(g, oracle):
+    """The greedy coloring that builds an induced Graph of the uncolored
+    vertices for each color class and maps the oracle's picks back."""
+    remaining = list(range(g.n))
+    colors = [0] * g.n
+    color = 0
+    while remaining:
+        index = {v: i for i, v in enumerate(remaining)}
+        sub = Graph(len(remaining), [(index[u], index[v]) for (u, v) in g.edges
+                                     if u in index and v in index])
+        if oracle == "exact":
+            w = None if g.weights is None else [g.weights[v] for v in remaining]
+            picked = _branch_and_bound_mis(sub, w)
+        else:
+            picked = _min_degree_greedy(sub)
+        color += 1
+        taken = {remaining[i] for i in picked}
+        for v in taken:
+            colors[v] = color
+        remaining = [v for v in remaining if v not in taken]
+    return colors
+
+
+def _normalized(raw):
+    total = sum(raw)
+    return [x / total for x in raw]
+
+
+def test_greedy_coloring_matches_induced_graph_loop_tie_for_tie():
+    from minent.io import random_graph
+    graphs = [g for g in _tied_graphs() if g.n <= 20]
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randrange(1, 19)
+        graphs.append(random_graph(n, rng.randrange(0, n * (n - 1) // 2 + 1), seed=seed))
+    for i, g in enumerate(graphs):
+        if g.n == 0:
+            continue
+        rng = random.Random(i)
+        weighted = [Graph(g.n, g.edges, _normalized([rng.random() for _ in range(g.n)])),
+                    Graph(g.n, g.edges, _normalized([rng.choice((1, 2)) for _ in range(g.n)]))]
+        for h in [g] + weighted:
+            for oracle in ("exact", "approx"):
+                assert greedy_coloring(h, oracle).colors == tuple(_induced_greedy(h, oracle)), \
+                    (oracle, h.edges, h.weights)
+
+
 def test_greedy_coloring_p3_is_optimal():
     c = greedy_coloring(P3)
     assert coloring_entropy(P3, c) == pytest.approx(0.9183, abs=1e-3)
@@ -201,6 +279,49 @@ def test_exact_coloring_matches_partition_enumeration():
         got = coloring_entropy(g, exact_coloring(g))
         best = min(entropy_of_counts(p) for p in all_proper_partitions(g))
         assert got == pytest.approx(best, abs=1e-12)
+
+
+def _first_optimal_coloring(g):
+    """Brute force over every proper canonical color vector in lexicographic
+    order: the first whose class-mass entropy is lowest (an improvement must
+    exceed 1e-12)."""
+    mass = g.weights or [1] * g.n
+    total = sum(mass)
+    best_h, best = math.inf, None
+    for colors in proper_colorings(g):
+        masses = Counter()
+        for m, c in zip(mass, colors):
+            masses[c] += m / total
+        h = -sum(p * math.log2(p) for p in masses.values() if p)
+        if h < best_h - 1e-12:
+            best_h, best = h, colors
+    return best
+
+
+def test_exact_coloring_matches_brute_force_with_weights():
+    from minent.io import random_graph
+    for seed in range(150):
+        rng = random.Random(seed)
+        n = rng.randrange(1, 9)
+        g = random_graph(n, rng.randrange(0, n * (n - 1) // 2 + 1), seed=seed)
+        for h in (g, Graph(n, g.edges, _normalized([rng.random() for _ in range(n)])),
+                  Graph(n, g.edges, _normalized([rng.choice((1, 2, 3)) for _ in range(n)]))):
+            assert exact_coloring(h).colors == _first_optimal_coloring(h), (h.edges, h.weights)
+
+
+def test_exact_coloring_weights_off_one_within_tolerance():
+    # Weights summing to 1 +- 0.9e-9 pass Graph's check; the search must
+    # still find a coloring at or below its greedy seed.
+    from minent.io import random_graph
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = rng.randrange(2, 9)
+        g = random_graph(n, rng.randrange(0, n * (n - 1) // 2 + 1), seed=seed)
+        w = _normalized([rng.random() for _ in range(n)])
+        w[w.index(max(w))] += rng.choice((0.9e-9, -0.9e-9))
+        h = Graph(n, g.edges, w)
+        assert coloring_entropy(h, exact_coloring(h)) <= \
+            coloring_entropy(h, greedy_coloring(h)) + 1e-12
 
 
 def test_exact_coloring_budget():
@@ -302,3 +423,67 @@ def test_interval_mec_properties_random():
                 sorted((len(s) for s in layers.layers), reverse=True))
             for counts in set(all_proper_partitions(g)):
                 assert dominates(layer_dist, counts_to_distribution(counts))
+
+
+def _bfs_two_color_layer(iv, layer, sorted_pos, even, odd, colors):
+    """2-color a layer by pairwise adjacency and a search per component; the
+    larger side takes `even`, a tie the side of the component's earliest
+    interval in sorted order."""
+    ivs = iv.intervals
+    adj = {v: [u for u in layer if u != v and intervals_intersect(ivs[u], ivs[v])]
+           for v in layer}
+    side = {}
+    for root in layer:
+        if root in side:
+            continue
+        side[root] = 0
+        comp, queue = [root], [root]
+        while queue:
+            u = queue.pop()
+            for w in adj[u]:
+                if w not in side:
+                    side[w] = 1 - side[u]
+                    comp.append(w)
+                    queue.append(w)
+                assert side[w] != side[u]
+        zero = [v for v in comp if side[v] == 0]
+        one = [v for v in comp if side[v] == 1]
+        first = min(comp, key=lambda v: sorted_pos[v])
+        if len(zero) > len(one) or (len(zero) == len(one) and side[first] == 0):
+            big, small = zero, one
+        else:
+            big, small = one, zero
+        for v in big:
+            colors[v] = even
+        for v in small:
+            colors[v] = odd
+
+
+def test_two_color_layer_rejects_a_triangle():
+    iv = IntervalSet([(0, 3), (1, 4), (2, 5)])
+    with pytest.raises(FeasibilityError, match="odd cycle"):
+        _two_color_layer(iv, [0, 1, 2], 2, 3, [0, 0, 0])
+
+
+def test_interval_mec_matches_pairwise_bfs_coloring():
+    sets = [gen_jk(k) for k in range(1, 13)]
+    for seed in range(1200):
+        rng = random.Random(seed)
+        n = rng.randrange(1, 13)
+        grid = rng.randrange(4, 17) if seed % 3 else max(2 * n, 8)
+        ivs = []
+        for _ in range(n):
+            a, b = rng.sample(range(grid + 1), 2)
+            ivs.append((Fraction(min(a, b), grid), Fraction(max(a, b), grid)))
+        sets.append(IntervalSet(ivs))
+    for iv in sets:
+        col, layers = interval_mec(iv)
+        ivs = iv.intervals
+        order = sorted(range(len(ivs)), key=lambda v: (ivs[v][1], ivs[v][0], v))
+        sorted_pos = {v: i for i, v in enumerate(order)}
+        colors = [0] * len(ivs)
+        for u in layers.layers[0]:
+            colors[u] = 1
+        for i, layer in enumerate(layers.layers[1:], start=2):
+            _bfs_two_color_layer(iv, list(layer), sorted_pos, 2 * i - 2, 2 * i - 1, colors)
+        assert col.colors == tuple(colors), ivs

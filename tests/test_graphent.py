@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from minent import graphent
 from minent.coloring import coloring_entropy, exact_coloring, greedy_coloring
 from minent.core import BudgetError, Graph, ValidationError, interval_graph
 from minent.graphent import (enumerate_maximal_independent_sets, graph_entropy,
@@ -39,9 +40,10 @@ def test_enumerate_mis_depth_is_not_bounded_by_recursion_limit():
     assert sets == [(0,) + tuple(range(2, n)), tuple(range(1, n))]
 
 
-def test_enumerate_mis_budget():
+def test_enumerate_mis_budget(monkeypatch):
+    monkeypatch.setattr(graphent, "MIS_LIMIT", 3)
     with pytest.raises(BudgetError):
-        enumerate_maximal_independent_sets(complete(8), limit=3)
+        enumerate_maximal_independent_sets(complete(8))
 
 
 def test_graph_entropy_complete():
