@@ -3,7 +3,9 @@ set cover, and side-information coding via confusability graphs."""
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .core import BudgetError, Graph, SetSystem, ValidationError
@@ -11,6 +13,7 @@ from .coloring import Coloring, coloring_entropy
 
 DEFAULT_WILDCARD_CAP = 20
 HAPLOTYPE_CAP = 10 ** 5  # most distinct haplotypes haplotype_instance builds
+_DELETE_ALPHABET = str.maketrans("", "", "01?")  # a genotype translates to ""
 
 
 @dataclass(frozen=True)
@@ -27,7 +30,7 @@ class GenotypePanel:
         for s in genotypes:
             if len(s) != length:
                 raise ValidationError("genotypes must have uniform length")
-            if any(ch not in "01?" for ch in s):
+            if s.translate(_DELETE_ALPHABET):
                 raise ValidationError(f"invalid genotype character in {s!r}")
         object.__setattr__(self, "genotypes", genotypes)
 
@@ -63,20 +66,18 @@ class JointTable:
 
 def compatible_haplotypes(genotype: str) -> list[str]:
     """All binary strings matching the genotype on every non-? position, in
-    lexicographic order."""
-    if any(ch not in "01?" for ch in genotype):
+    lexicographic order (the first ? is the most significant bit).
+
+    The alphabet is checked before the wildcard cap, so no `%` reaches the
+    template."""
+    if genotype.translate(_DELETE_ALPHABET):
         raise ValidationError(f"invalid genotype character in {genotype!r}")
-    holes = [i for i, ch in enumerate(genotype) if ch == "?"]
-    if len(holes) > DEFAULT_WILDCARD_CAP:
+    holes = genotype.count("?")
+    if holes > DEFAULT_WILDCARD_CAP:
         raise BudgetError(
-            f"genotype has {len(holes)} wildcards, above the cap of {DEFAULT_WILDCARD_CAP}")
-    out = []
-    for bits in range(1 << len(holes)):
-        chars = list(genotype)
-        for j, pos in enumerate(holes):
-            chars[pos] = "1" if bits >> (len(holes) - 1 - j) & 1 else "0"
-        out.append("".join(chars))
-    return out
+            f"genotype has {holes} wildcards, above the cap of {DEFAULT_WILDCARD_CAP}")
+    template = genotype.replace("?", "%s")
+    return [template % bits for bits in itertools.product("01", repeat=holes)]
 
 
 def explains(haplotype: str, genotype: str) -> bool:
@@ -91,23 +92,19 @@ def haplotype_instance(panel: GenotypePanel) -> tuple[SetSystem, list[str]]:
     on the result is the maximum-likelihood-style phasing.
 
     h explains g exactly when h is one of g's compatible haplotypes, so each
-    set is filled from the genotypes' compatible lists in genotype order, in
-    O(sum 2^wildcards) rather than by testing every (haplotype, genotype)
-    pair."""
-    haplotypes: set[str] = set()
-    for g in panel.genotypes:
-        haplotypes.update(compatible_haplotypes(g))
-        if len(haplotypes) > HAPLOTYPE_CAP:
-            raise BudgetError(
-                f"more than {HAPLOTYPE_CAP} distinct haplotypes; lower the per-genotype "
-                "wildcard count or raise the cap")
-    labels = sorted(haplotypes)
-    index = {h: j for j, h in enumerate(labels)}
-    sets: list[list[int]] = [[] for _ in labels]
+    genotype is expanded once and its index appended to the set of every
+    haplotype in its list: O(sum 2^wildcards) rather than a test of every
+    (haplotype, genotype) pair. Sets come out in genotype order."""
+    members: defaultdict[str, list[int]] = defaultdict(list)
     for i, g in enumerate(panel.genotypes):
         for h in compatible_haplotypes(g):
-            sets[index[h]].append(i)
-    return SetSystem(len(panel.genotypes), sets), labels
+            members[h].append(i)
+        if len(members) > HAPLOTYPE_CAP:
+            raise BudgetError(
+                f"more than {HAPLOTYPE_CAP} distinct haplotypes (apps.HAPLOTYPE_CAP); "
+                "lower the per-genotype wildcard count")
+    labels = sorted(members)
+    return SetSystem(len(panel.genotypes), [members[h] for h in labels]), labels
 
 
 def confusability_graph(t: JointTable) -> Graph:

@@ -65,9 +65,10 @@ def _cmd_orient(args, text: str, report: dict) -> dict:
         return {}
     o = (orientation.biased_orientation(g) if args.action == "biased"
          else orientation.exact_orientation(g))
+    # json writes tuples as lists; the text report prints the lists' repr
     report.update(entropy_bits=orientation.orientation_entropy(g, o),
                   indegrees=list(o.indegrees),
-                  direction=[list(d) for d in o.direction])
+                  direction=o.direction if args.json else [list(d) for d in o.direction])
     return {}
 
 

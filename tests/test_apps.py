@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from minent.apps import (GenotypePanel, JointTable, code_rate,
+from minent import apps
+from minent.apps import (DEFAULT_WILDCARD_CAP, GenotypePanel, JointTable, code_rate,
                          compatible_haplotypes, confusability_graph, explains,
                          haplotype_instance)
 from minent.coloring import Coloring, greedy_coloring
@@ -25,6 +26,56 @@ def test_compatible_haplotypes_errors():
         compatible_haplotypes("0x1")
     with pytest.raises(BudgetError):
         compatible_haplotypes("?" * 25)
+
+
+def _loop_compatible_haplotypes(genotype):
+    """Compatible haplotypes built one character at a time, first ? most
+    significant, with the same checks in the same order."""
+    if any(ch not in "01?" for ch in genotype):
+        raise ValidationError(f"invalid genotype character in {genotype!r}")
+    holes = [i for i, ch in enumerate(genotype) if ch == "?"]
+    if len(holes) > DEFAULT_WILDCARD_CAP:
+        raise BudgetError(
+            f"genotype has {len(holes)} wildcards, above the cap of {DEFAULT_WILDCARD_CAP}")
+    out = []
+    for bits in range(1 << len(holes)):
+        chars = list(genotype)
+        for j, pos in enumerate(holes):
+            chars[pos] = "1" if bits >> (len(holes) - 1 - j) & 1 else "0"
+        out.append("".join(chars))
+    return out
+
+
+def test_compatible_haplotypes_matches_character_loop():
+    genotypes = ["", "?", "?" * 12, "0", "1"]
+    for seed in range(120):
+        rng = random.Random(seed)
+        holes = seed % 13
+        chars = ["?"] * holes + [rng.choice("01") for _ in range(rng.randrange(0, 10))]
+        rng.shuffle(chars)
+        genotypes.append("".join(chars))
+    for g in genotypes:
+        assert compatible_haplotypes(g) == _loop_compatible_haplotypes(g), g
+
+
+@pytest.mark.parametrize("genotype", ["0%?", "0\u0661?", "01?2", "?" * 21, "%" + "?" * 21],
+                         ids=["percent", "arabic-indic-one", "digit-2", "21-wildcards",
+                              "percent-21-wildcards"])
+def test_compatible_haplotypes_errors_match_character_loop(genotype):
+    with pytest.raises((ValidationError, BudgetError)) as old:
+        _loop_compatible_haplotypes(genotype)
+    with pytest.raises((ValidationError, BudgetError)) as new:
+        compatible_haplotypes(genotype)
+    assert (type(new.value), str(new.value)) == (type(old.value), str(old.value))
+
+
+def test_haplotype_instance_over_cap(monkeypatch):
+    monkeypatch.setattr(apps, "HAPLOTYPE_CAP", 3)
+    _, labels = haplotype_instance(GenotypePanel(["0?", "?0"]))
+    assert labels == ["00", "01", "10"]  # at the cap is allowed
+    with pytest.raises(BudgetError, match=r"^more than 3 distinct haplotypes "
+                       r"\(apps\.HAPLOTYPE_CAP\)"):
+        haplotype_instance(GenotypePanel(["0?", "??"]))
 
 
 def test_genotype_panel_validation():

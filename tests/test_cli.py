@@ -1,10 +1,13 @@
 import json
 import random
+import re
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+from minent import apps
 from minent.cli import main
 from minent.core import Graph, IntervalSet, SetSystem
 from minent.io import (ParseError, gen_random, parse_graph, parse_intervals,
@@ -175,6 +178,43 @@ def test_cli_app_haplotype(tmp_path, capsys):
     report = json.loads(out)
     assert report["entropy_bits"] == 0.0
     assert report["assignment"] == ["01", "01"]
+
+
+def test_cli_app_haplotype_over_cap_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(apps, "HAPLOTYPE_CAP", 3)
+    f = tmp_path / "panel.txt"
+    f.write_text("0?\n??\n")
+    assert main(["app", "haplotype", "--input", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: more than 3 distinct haplotypes (apps.HAPLOTYPE_CAP)")
+    assert "Traceback" not in err
+
+
+ORIENT_GRAPH = "graph 5 6\n0 1\n1 2\n2 3\n0 3\n3 4\n1 4\n"
+ORIENT_DIRECTION = "[[0, 1], [2, 1], [2, 3], [0, 3], [4, 3], [4, 1]]"
+
+
+@pytest.mark.parametrize("action", ["biased", "exact"])
+def test_cli_orient_output_bytes(tmp_path, capsys, monkeypatch, action):
+    """Both report modes, byte for byte apart from the timing: JSON writes the
+    direction tuples as lists, text prints the lists' repr."""
+    (tmp_path / "g.txt").write_text(ORIENT_GRAPH)
+    monkeypatch.chdir(tmp_path)
+    outs = []
+    for extra in (["--json"], []):
+        argv = ["orient", action, "--input", "g.txt"] + extra
+        monkeypatch.setattr(sys, "argv", ["minent"] + argv)
+        code, out = _run(capsys, argv)
+        assert code == 0
+        outs.append(re.sub(r'timing_ms("?): [0-9.e+-]+', r"timing_ms\1: T", out))
+    assert outs[0] == (
+        f'{{"checks": {{}}, "command": "orient {action} --input g.txt --json", '
+        f'"direction": {ORIENT_DIRECTION}, "entropy_bits": 1.0, '
+        '"indegrees": [0, 3, 0, 3, 0], "input_digest": '
+        '"cd8483cd418403820cd2de67341b94452604fd68585777748d68efe97ecbb920", '
+        '"seed": 0, "timing_ms": T}\n')
+    assert outs[1] == (f"checks: {{}}\ndirection: {ORIENT_DIRECTION}\nentropy_bits: 1.0\n"
+                       "indegrees: [0, 3, 0, 3, 0]\nseed: 0\ntiming_ms: T\n")
 
 
 def test_cli_input_error_exit_code(tmp_path, capsys):
