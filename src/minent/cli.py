@@ -11,7 +11,7 @@ import sys
 import time
 
 from . import apps, coloring, graphent, io as mio, orientation, setcover
-from .core import BudgetError, FeasibilityError, ValidationError, interval_graph
+from .core import LOG2_E, BudgetError, FeasibilityError, ValidationError, interval_graph
 from .graphent import ConvergenceError
 
 
@@ -38,7 +38,7 @@ def _cmd_setcover(args, text: str, report: dict) -> dict:
         cover = setcover.exact_cover(system)
     else:
         cover, trace = setcover.greedy_cover(system)
-    report.update(entropy_bits=setcover.cover_entropy(system, cover),
+    report.update(entropy_bits=setcover.cover_entropy(cover),
                   counts=list(cover.induced_counts))
     if args.action == "greedy":
         report["rounds"] = [[i, sorted(s)] for i, s in trace.rounds]
@@ -52,7 +52,7 @@ def _cmd_setcover(args, text: str, report: dict) -> dict:
                   checked=fr.checked,
                   violations=[v["subset"] for v in fr.violations])
     return {"dual_feasible": not fr.violations,
-            "dual_identity": abs(sum_y - (cert.greedy_entropy - setcover.LOG2_E)) <= 1e-9}
+            "dual_identity": abs(sum_y - (cert.greedy_entropy - LOG2_E)) <= 1e-9}
 
 
 def _cmd_orient(args, text: str, report: dict) -> dict:
@@ -66,7 +66,7 @@ def _cmd_orient(args, text: str, report: dict) -> dict:
     o = (orientation.biased_orientation(g) if args.action == "biased"
          else orientation.exact_orientation(g))
     # json writes tuples as lists; the text report prints the lists' repr
-    report.update(entropy_bits=orientation.orientation_entropy(g, o),
+    report.update(entropy_bits=orientation.orientation_entropy(o),
                   indegrees=list(o.indegrees),
                   direction=o.direction if args.json else [list(d) for d in o.direction])
     return {}
@@ -136,10 +136,10 @@ def _cmd_app(args, text: str, report: dict) -> dict:
         panel = mio.parse_genotypes(text)
         system, labels = apps.haplotype_instance(panel)
         cover, _ = setcover.greedy_cover(system)
-        report.update(entropy_bits=setcover.cover_entropy(system, cover),
+        report.update(entropy_bits=setcover.cover_entropy(cover),
                       haplotypes=labels,
                       assignment=[labels[i] for i in cover.assignment],
-                      log_likelihood=setcover.likelihood(system, cover))
+                      log_likelihood=setcover.likelihood(cover))
         return {}
     table = mio.parse_joint_table(text)
     g = apps.confusability_graph(table)

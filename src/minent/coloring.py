@@ -14,7 +14,6 @@ from .core import (BudgetError, FeasibilityError, Graph, IntervalSet,
                    ValidationError, _xlog2x, entropy_of_counts, max_point_depth,
                    xlog2x_table)
 
-LOG2_E = math.log2(math.e)
 DEFAULT_COLORING_CAP = 12
 
 

@@ -10,6 +10,7 @@ from typing import Optional, Sequence
 
 WEIGHT_TOL = 1e-9
 WORK_BUDGET = 10 ** 7  # most exact-oracle assignments or estimator samples
+LOG2_E = math.log2(math.e)  # the greedy guarantees' additive constant
 
 
 class ValidationError(ValueError):
@@ -103,12 +104,6 @@ class Graph:
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Every vertex's sorted neighbor tuple; len(adjacency[v]) is v's degree."""
         return self._adj
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
-
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
 
     def max_degree(self) -> int:
         return max(map(len, self._adj), default=0)

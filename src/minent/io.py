@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import io as _io
+import math
 import random
 from fractions import Fraction
 from itertools import compress, count, repeat
@@ -216,11 +217,21 @@ def parse_joint_table(text: str) -> JointTable:
 
 
 def random_graph(n: int, m: int, seed: int = 0) -> Graph:
-    if not 0 <= m <= n * (n - 1) // 2:
+    """m of the n(n-1)/2 pairs, uniformly. random.sample picks positions from
+    the population's length alone, so sampling the pairs' lexicographic
+    indices draws the edges that sampling the list of all pairs would."""
+    if n > MAX_GRAPH_VERTICES:  # gen must not write what parse_graph refuses
+        raise ValidationError(f"more than {MAX_GRAPH_VERTICES} vertices")
+    total = n * (n - 1) // 2
+    if not 0 <= m <= total:
         raise ValidationError("edge count must be in [0, n(n-1)/2]")
     rng = random.Random(seed)
-    all_edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return Graph(n, rng.sample(all_edges, m))
+    edges = []
+    for k in rng.sample(range(total), m):
+        r = total - 1 - k  # index counted from the last pair, (n-2, n-1)
+        j = (math.isqrt(8 * r + 1) - 1) // 2  # rows from the last: u = n-2-j
+        edges.append((n - 2 - j, n - 1 - r + j * (j + 1) // 2))
+    return Graph(n, edges)
 
 
 def random_connected_graph(n: int, m: int, seed: int = 0) -> Graph:
@@ -240,6 +251,8 @@ def random_connected_graph(n: int, m: int, seed: int = 0) -> Graph:
 def random_regular_graph(n: int, d: int, seed: int = 0) -> Graph:
     """Pairing-model d-regular graph, rejecting pairings with loops or
     repeated edges."""
+    if n > MAX_GRAPH_VERTICES:
+        raise ValidationError(f"more than {MAX_GRAPH_VERTICES} vertices")
     if n * d % 2 != 0 or d >= n:
         raise ValidationError("need n*d even and d < n")
     rng = random.Random(seed)
@@ -293,11 +306,12 @@ def random_setcover(n: int, k: int, seed: int = 0) -> SetSystem:
     raise ValidationError("failed to generate a covering instance")
 
 
-def random_bipartite_graph(n: int, seed: int = 0, p: float = 0.5) -> Graph:
+def random_bipartite_graph(n: int, seed: int = 0) -> Graph:
+    """Two random sides, each cross pair an edge with probability 1/2."""
     rng = random.Random(seed)
     split = rng.randrange(1, n) if n > 1 else 1
     edges = [(u, v) for u in range(split) for v in range(split, n)
-             if rng.random() < p]
+             if rng.random() < 0.5]
     return Graph(n, edges)
 
 

@@ -7,22 +7,22 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .core import (WORK_BUDGET, BudgetError, FeasibilityError, Graph, SetSystem,
-                   ValidationError, entropy_of_counts)
+                   ValidationError, _xlog2x, entropy_of_counts)
 from .setcover import exact_cover
 
 
 @dataclass(frozen=True)
 class Orientation:
-    """Per-edge (tail, head) pairs, aligned with graph.edges, plus indegrees."""
+    """Per-edge (tail, head) pairs, aligned with graph.edges, plus indegrees,
+    checked against the graph when built."""
 
     direction: tuple[tuple[int, int], ...]
     indegrees: tuple[int, ...]
 
-    @staticmethod
-    def from_directions(g: Graph, direction) -> "Orientation":
+    def __init__(self, g: Graph, direction):
         direction = tuple(map(tuple, direction))
         if len(direction) != g.m:
             raise FeasibilityError("one direction per edge required")
@@ -31,7 +31,8 @@ class Orientation:
             if not (tail == u and head == v or tail == v and head == u):
                 raise FeasibilityError(f"direction ({tail},{head}) does not match edge ({u},{v})")
             indeg[head] += 1
-        return Orientation(direction, tuple(indeg))
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "indegrees", tuple(indeg))
 
 
 @dataclass(frozen=True)
@@ -50,38 +51,28 @@ class EstimatorParams:
             raise ValidationError("sample count must be >= 1")
 
 
-def orientation_entropy(g: Graph, o: Orientation) -> float:
+def orientation_entropy(o: Orientation) -> float:
     """Entropy (bits) of {indegree(v)/m} over vertices of positive indegree."""
-    if g.m == 0:
+    if not o.direction:
         raise ValidationError("graph has no edges to orient")
-    if Orientation.from_directions(g, o.direction).indegrees != o.indegrees:
-        raise FeasibilityError("indegrees inconsistent with directions")
     return entropy_of_counts(o.indegrees)
 
 
-def biased_orientation(g: Graph, order: Optional[Sequence[int]] = None) -> Orientation:
+def biased_orientation(g: Graph) -> Orientation:
     """Orient every edge toward its higher-degree endpoint; degree ties go to
-    the endpoint appearing later in `order` (default: identity)."""
+    the higher-numbered endpoint."""
     if g.m == 0:
         raise ValidationError("graph has no edges to orient")
     n = g.n
-    if order is None:
-        pos = range(n)
-    else:
-        if sorted(order) != list(range(n)):
-            raise ValidationError("order must be a permutation of the vertices")
-        pos = [0] * n
-        for i, v in enumerate(order):
-            pos[v] = i
-    # rank[v] = degree * n + position orders the vertices by (degree,
-    # position): each edge's head is its endpoint of higher rank. An edge
-    # (u, v) whose head is v is its own (tail, head) pair.
-    rank = [len(a) * n + p for a, p in zip(g.adjacency, pos)]
+    # rank[v] = degree * n + v orders the vertices by (degree, index): each
+    # edge's head is its endpoint of higher rank. An edge (u, v) whose head
+    # is v is its own (tail, head) pair.
+    rank = [len(a) * n + v for v, a in enumerate(g.adjacency)]
     direction = []
     for e in g.edges:
         u, v = e
         direction.append((v, u) if rank[u] > rank[v] else e)
-    return Orientation.from_directions(g, direction)
+    return Orientation(g, direction)
 
 
 def exact_orientation(g: Graph) -> Orientation:
@@ -102,9 +93,8 @@ def exact_orientation(g: Graph) -> Orientation:
         stars[n - 1 - u].append(j)
         stars[n - 1 - v].append(j)
     cover = exact_cover(SetSystem(g.m, stars))
-    return Orientation.from_directions(
-        g, [(u, v) if i == n - 1 - v else (v, u)
-            for (u, v), i in zip(g.edges, cover.assignment)])
+    return Orientation(g, [(u, v) if i == n - 1 - v else (v, u)
+                           for (u, v), i in zip(g.edges, cover.assignment)])
 
 
 def sample_count(epsilon: float, delta: float, max_degree: int) -> int:
@@ -124,19 +114,17 @@ def sample_count(epsilon: float, delta: float, max_degree: int) -> int:
     return max(1, math.ceil(count))
 
 
-def local_indegree(g: Graph, v: int, pos: Optional[Sequence[int]] = None) -> int:
+def local_indegree(g: Graph, v: int) -> int:
     """Indegree of v in the biased orientation, computed from v's
-    neighborhood only: neighbor w points to v when (degree, position) is
-    lower at w than at v, pos[w] being w's place in the vertex order (the
-    identity when `pos` is None)."""
+    neighborhood only: neighbor w points to v when (degree, index) is lower
+    at w than at v."""
     adj = g.adjacency
     nbrs = adj[v]
     d = len(nbrs)
-    p = v if pos is None else pos[v]
     indeg = 0
     for w in nbrs:
         dw = len(adj[w])
-        if dw < d or dw == d and (w if pos is None else pos[w]) < p:
+        if dw < d or dw == d and w < v:
             indeg += 1
     return indeg
 
@@ -162,7 +150,7 @@ def estimate_entropy(g: Graph, p: EstimatorParams, one_sided: bool = False,
     for v in samples:
         if v not in terms:
             rho = local_indegree(g, v)
-            terms[v] = rho * math.log2(rho) if rho else 0.0
+            terms[v] = _xlog2x(rho)
     acc = math.fsum(map(terms.__getitem__, samples))
     h = math.log2(m) - (n / (len(samples) * m)) * acc
     return h + p.epsilon if one_sided else h

@@ -11,18 +11,16 @@ from heapq import heapify, heappop, heapreplace
 from .core import (WORK_BUDGET, BudgetError, FeasibilityError, SetSystem,
                    ValidationError, entropy_of_counts, xlog2x_table)
 
-LOG2_E = math.log2(math.e)
-
 
 @dataclass(frozen=True)
 class CoverAssignment:
-    """Per-element set choice phi(x) with the induced per-set cover counts."""
+    """Per-element set choice phi(x) with the induced per-set cover counts,
+    checked against the set system when built."""
 
     assignment: tuple[int, ...]
     induced_counts: tuple[int, ...]
 
-    @staticmethod
-    def from_assignment(s: SetSystem, assignment) -> "CoverAssignment":
+    def __init__(self, s: SetSystem, assignment):
         assignment = tuple(assignment)
         if len(assignment) != s.universe_size:
             raise FeasibilityError("assignment must cover every element")
@@ -31,7 +29,8 @@ class CoverAssignment:
             if not (0 <= i < s.k) or not _contains(s.sets[i], x):
                 raise FeasibilityError(f"element {x} assigned to set {i} not containing it")
             counts[i] += 1
-        return CoverAssignment(assignment, tuple(counts))
+        object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "induced_counts", tuple(counts))
 
 
 def _contains(members: tuple[int, ...], x: int) -> bool:
@@ -56,23 +55,14 @@ class DualCertificate:
     greedy_entropy: float
 
 
-def cover_entropy(s: SetSystem, a: CoverAssignment) -> float:
+def cover_entropy(a: CoverAssignment) -> float:
     """Entropy (bits) of the part-size distribution induced by an assignment."""
-    _check_assignment(s, a)
     return entropy_of_counts(a.induced_counts)
 
 
-def likelihood(s: SetSystem, a: CoverAssignment) -> float:
-    """log2 of prod_i p_i^{count_i}; equals -n * entropy of the assignment."""
-    _check_assignment(s, a)
-    n = s.universe_size
-    return math.fsum(c * math.log2(c / n) for c in a.induced_counts if c)
-
-
-def _check_assignment(s: SetSystem, a: CoverAssignment) -> None:
-    rebuilt = CoverAssignment.from_assignment(s, a.assignment)
-    if rebuilt.induced_counts != a.induced_counts:
-        raise FeasibilityError("induced_counts inconsistent with assignment")
+def likelihood(a: CoverAssignment) -> float:
+    """log2 of prod_i p_i^{count_i}, p_i = count_i / n: -n times the entropy."""
+    return 0.0 - len(a.assignment) * cover_entropy(a)  # 0.0, not -0.0, at H = 0
 
 
 def _greedy_rounds(s: SetSystem) -> list[tuple[int, list[int]]]:
@@ -82,12 +72,16 @@ def _greedy_rounds(s: SetSystem) -> list[tuple[int, list[int]]]:
 
     Each set is an int bitmask (element x is bit n-1-x) and so are the
     uncovered elements, so a remainder's size is one AND and a bit count.
-    Sizes are re-evaluated lazily (Minoux's accelerated greedy): a heap holds
-    (-size when last evaluated, index), sizes only shrink, so an entry whose
-    size is still current when it reaches the top is the first largest."""
+    A set's mask is kept unshifted, spanning its first to its last member,
+    with its shift n-1-last: a few members far from element n-1 cost a few
+    bits, not n. Sizes are re-evaluated lazily (Minoux's accelerated
+    greedy): a heap holds (-size when last evaluated, index), sizes only
+    shrink, so an entry whose size is still current when it reaches the top
+    is the first largest."""
     n = s.universe_size
     zeros = b"0" * n
     masks = [0] * s.k
+    shifts = [0] * s.k
     for i, members in enumerate(s.sets):
         if members:
             row = bytearray(zeros)  # row[x] is the binary digit of bit n-1-x
@@ -96,7 +90,8 @@ def _greedy_rounds(s: SetSystem) -> list[tuple[int, list[int]]]:
             # Only the digits from the first to the last member are parsed,
             # so a set of a few elements costs no O(n) parse.
             lo, hi = members[0], members[-1]
-            masks[i] = int(row[lo:hi + 1], 2) << (n - 1 - hi)
+            masks[i] = int(row[lo:hi + 1], 2)
+            shifts[i] = n - 1 - hi
     heap = [(-len(t), i) for i, t in enumerate(s.sets) if t]
     heapify(heap)
     uncovered = (1 << n) - 1
@@ -106,10 +101,10 @@ def _greedy_rounds(s: SetSystem) -> list[tuple[int, list[int]]]:
         if not heap:
             raise ValidationError("instance is not coverable")
         stale, i = heap[0]
-        size = (masks[i] & uncovered).bit_count()
+        size = (masks[i] & (uncovered >> shifts[i])).bit_count()
         if size == -stale:
             heappop(heap)
-            uncovered &= ~masks[i]
+            uncovered &= ~(masks[i] << shifts[i])
             new = [x for x in s.sets[i] if free[x]]
             for x in new:
                 free[x] = 0
@@ -129,7 +124,7 @@ def greedy_cover(s: SetSystem) -> tuple[CoverAssignment, GreedyTrace]:
     for i, new in rounds:
         for x in new:
             assignment[x] = i
-    cover = CoverAssignment.from_assignment(s, assignment)
+    cover = CoverAssignment(s, assignment)
     return cover, GreedyTrace(tuple((i, frozenset(new)) for i, new in rounds))
 
 
@@ -221,7 +216,7 @@ def exact_cover(s: SetSystem) -> CoverAssignment:
     assignment = [c[0] for c in choices]
     for x, i in zip(free, best):
         assignment[x] = i
-    return CoverAssignment.from_assignment(s, assignment)
+    return CoverAssignment(s, assignment)
 
 
 def dual_certificate(s: SetSystem, t: GreedyTrace) -> DualCertificate:
@@ -230,12 +225,10 @@ def dual_certificate(s: SetSystem, t: GreedyTrace) -> DualCertificate:
     n = s.universe_size
     covered = [False] * n
     y = [0.0] * n
-    g_terms = []
     for set_idx, new in t.rounds:
         if not new or not new <= set(s.sets[set_idx]):
             raise FeasibilityError("trace round inconsistent with set system")
         size = len(new)
-        g_terms.append(-(size / n) * math.log2(size / n))
         for v in new:
             if covered[v]:
                 raise FeasibilityError(f"element {v} covered twice in trace")
@@ -243,7 +236,7 @@ def dual_certificate(s: SetSystem, t: GreedyTrace) -> DualCertificate:
             y[v] = -(1.0 / n) * math.log2(size * math.e / n)
     if not all(covered):
         raise FeasibilityError("trace does not cover the universe")
-    return DualCertificate(tuple(y), math.fsum(g_terms))
+    return DualCertificate(tuple(y), entropy_of_counts([len(new) for _, new in t.rounds]))
 
 
 @dataclass(frozen=True)

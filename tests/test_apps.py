@@ -94,7 +94,7 @@ def test_haplotype_instance_worked_panel():
     assert system.sets == ((0,), (0, 1), (1,))
     cover, _ = greedy_cover(system)
     assert cover.assignment == (1, 1)  # both genotypes phased to haplotype 01
-    assert cover_entropy(system, cover) == 0.0
+    assert cover_entropy(cover) == 0.0
 
 
 def test_haplotype_instance_no_wildcards():
@@ -144,7 +144,7 @@ def test_phasing_likelihood_bound():
     n = system.universe_size
     greedy, _ = greedy_cover(system)
     best = exact_cover(system)
-    assert likelihood(system, greedy) >= likelihood(system, best) - n * math.log2(math.e) - 1e-9
+    assert likelihood(greedy) >= likelihood(best) - n * math.log2(math.e) - 1e-9
 
 
 def test_joint_table_validation():

@@ -10,10 +10,11 @@ import pytest
 from minent import apps
 from minent.cli import main
 from minent.core import Graph, IntervalSet, SetSystem
-from minent.io import (ParseError, gen_random, parse_graph, parse_intervals,
-                       parse_joint_table, parse_setcover, random_intervals,
-                       random_regular_graph, random_setcover, serialize_graph,
-                       serialize_intervals, serialize_setcover)
+from minent.io import (MAX_GRAPH_VERTICES, ParseError, gen_random, parse_graph,
+                       parse_intervals, parse_joint_table, parse_setcover,
+                       random_graph, random_intervals, random_regular_graph,
+                       random_setcover, serialize_graph, serialize_intervals,
+                       serialize_setcover)
 
 WORKED_SC = "setcover 4 3\n0 1 2\n2 3\n3\n"
 
@@ -86,7 +87,7 @@ def test_generators_deterministic():
 def test_regular_generator():
     g = random_regular_graph(10, 3, seed=0)
     assert g.m == 15
-    assert all(g.degree(v) == 3 for v in range(10))
+    assert all(len(a) == 3 for a in g.adjacency)
 
 
 def test_interval_generator_feeds_pipeline():
@@ -269,6 +270,37 @@ def test_cli_bad_value_exits_2(tmp_path, capsys, argv, data):
 def test_cli_gen_bad_size_exits_2(capsys, argv):
     assert main(["gen", "random"] + argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _all_pairs_graph(n, m, seed):
+    """The random graph drawn from the list of all n(n-1)/2 pairs."""
+    rng = random.Random(seed)
+    return Graph(n, rng.sample([(u, v) for u in range(n) for v in range(u + 1, n)], m))
+
+
+def test_random_graph_matches_all_pairs_sampler():
+    for n in range(40):
+        total = n * (n - 1) // 2
+        for m in sorted({0, 1, n, total // 2, total}):
+            if m > total:
+                continue
+            for seed in range(5):
+                assert random_graph(n, m, seed) == _all_pairs_graph(n, m, seed), (n, m, seed)
+
+
+def test_cli_gen_sparse_graph_on_many_vertices(capsys):
+    assert main(["gen", "random", "--kind", "graph", "--n", "20000", "--m", "5"]) == 0
+    g = parse_graph(capsys.readouterr().out)
+    assert g.n == 20000 and g.m == 5
+
+
+@pytest.mark.parametrize("kind", ["graph", "regular"])
+def test_cli_gen_graph_above_parse_cap_exits_2(capsys, kind):
+    n = str(2 * MAX_GRAPH_VERTICES)
+    assert main(["gen", "random", "--kind", kind, "--n", n]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_cli_orient_exact_over_budget_exits_2(tmp_path, capsys):

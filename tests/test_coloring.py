@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from minent.coloring import (LOG2_E, Coloring, _two_color_layer, approx_mis,
+from minent.coloring import (Coloring, _two_color_layer, approx_mis,
                              coloring_entropy, exact_coloring, exact_mis, gen_jk,
                              greedy_coloring, interval_mec, jk_rows)
-from minent.core import (BudgetError, FeasibilityError, Graph, IntervalSet,
+from minent.core import (LOG2_E, BudgetError, FeasibilityError, Graph, IntervalSet,
                          counts_to_distribution, dominates, interval_graph,
                          intervals_intersect, max_point_depth)
 from minent.io import random_bipartite_graph, random_intervals
@@ -115,10 +115,10 @@ def _min_degree_greedy(g):
     alive = set(range(g.n))
     chosen = []
     while alive:
-        v = min(alive, key=lambda u: (sum(1 for x in g.neighbors(u) if x in alive), u))
+        v = min(alive, key=lambda u: (sum(1 for x in g.adjacency[u] if x in alive), u))
         chosen.append(v)
         alive.discard(v)
-        alive -= set(g.neighbors(v))
+        alive -= set(g.adjacency[v])
     return tuple(sorted(chosen))
 
 
@@ -383,7 +383,10 @@ def _max_i_colorable_sizes(iv, n):
     """Brute force: for each i, the largest subset whose interval graph has
     clique number (max point depth) at most i."""
     best = [0] * (n + 1)
-    ivs = iv.intervals
+    # integer ranks of the endpoints keep their order, so every depth is
+    # the same, and the 2^n depth sorts compare ints, not Fractions
+    rank = {x: r for r, x in enumerate(sorted({x for ab in iv.intervals for x in ab}))}
+    ivs = [(rank[lo], rank[hi]) for lo, hi in iv.intervals]
     for mask in range(1 << n):
         subset = [ivs[v] for v in range(n) if mask >> v & 1]
         d = max_point_depth(subset)

@@ -140,9 +140,8 @@ def test_graph_names_the_first_bad_edge():
 
 def test_graph_plumbing():
     g = Graph(4, [(0, 1), (1, 2), (1, 3)])
-    assert g.degree(1) == 3 and g.degree(0) == 1
+    assert g.adjacency == ((1,), (0, 2, 3), (1,), (1,))
     assert g.max_degree() == 3
-    assert g.neighbors(1) == (0, 2, 3)
     assert g.is_independent_set([0, 2, 3])
     assert not g.is_independent_set([0, 1])
     assert g.is_proper_coloring([1, 2, 1, 1])

@@ -6,9 +6,10 @@ import pytest
 
 from minent import graphent
 from minent.coloring import coloring_entropy, exact_coloring, greedy_coloring
+from minent.cli import main
 from minent.core import BudgetError, Graph, ValidationError, interval_graph
-from minent.graphent import (enumerate_maximal_independent_sets, graph_entropy,
-                             greedy_vs_entropy, splitting_gap)
+from minent.graphent import (ConvergenceError, enumerate_maximal_independent_sets,
+                             graph_entropy, greedy_vs_entropy, splitting_gap)
 from minent.io import random_bipartite_graph, random_intervals
 
 C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -44,6 +45,30 @@ def test_enumerate_mis_budget(monkeypatch):
     monkeypatch.setattr(graphent, "MIS_LIMIT", 3)
     with pytest.raises(BudgetError):
         enumerate_maximal_independent_sets(complete(8))
+
+
+# The path 0-1-2: its uniform start over the maximal sets {0, 2} and {1} is
+# not optimal, so one Frank-Wolfe step cannot close the gap. (C5's uniform
+# start is already optimal.)
+P3 = Graph(3, [(0, 1), (1, 2)])
+
+
+def test_graph_entropy_step_cap_raises_with_value_and_gap(monkeypatch):
+    monkeypatch.setattr(graphent, "MAX_FW_STEPS", 1)
+    with pytest.raises(ConvergenceError, match="graph entropy solver did not converge") as err:
+        graph_entropy(P3, tol=1e-6)
+    assert math.isfinite(err.value.value)
+    assert err.value.gap > 1e-6
+
+
+def test_cli_graphent_step_cap_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(graphent, "MAX_FW_STEPS", 1)
+    f = tmp_path / "p3.g"
+    f.write_text("graph 3 2\n0 1\n1 2\n")
+    assert main(["graphent", "compute", "--input", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: graph entropy solver did not converge")
+    assert "Traceback" not in err
 
 
 def test_graph_entropy_complete():

@@ -2,12 +2,14 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
+from heapq import heapify, heappop, heapreplace
 
 import pytest
 
-from minent.core import BudgetError, FeasibilityError, SetSystem, entropy_of_counts
+from minent.core import LOG2_E, BudgetError, FeasibilityError, SetSystem, entropy_of_counts
 from minent.io import random_setcover
-from minent.setcover import (LOG2_E, CoverAssignment, DualCertificate, cover_entropy,
+from minent.setcover import (CoverAssignment, DualCertificate, _greedy_rounds, cover_entropy,
                              dual_certificate, exact_cover, greedy_cover,
                              likelihood, verify_dual_feasibility)
 
@@ -18,14 +20,14 @@ def test_greedy_on_worked_instance():
     cover, trace = greedy_cover(WORKED)
     assert [r[0] for r in trace.rounds] == [0, 1]
     assert cover.induced_counts == (3, 1, 0)
-    assert cover_entropy(WORKED, cover) == pytest.approx(0.8113, abs=1e-3)
+    assert cover_entropy(cover) == pytest.approx(0.8113, abs=1e-3)
 
 
 def test_greedy_single_covering_set():
     s = SetSystem(3, [[0, 1, 2], [1]])
     cover, trace = greedy_cover(s)
     assert len(trace.rounds) == 1
-    assert cover_entropy(s, cover) == 0.0
+    assert cover_entropy(cover) == 0.0
 
 
 def test_greedy_deterministic_tie_break():
@@ -36,21 +38,23 @@ def test_greedy_deterministic_tie_break():
 
 def test_cover_entropy_examples():
     s = SetSystem(11, [list(range(5)), list(range(5, 9)), [9, 10]])
-    a = CoverAssignment.from_assignment(s, [0] * 5 + [1] * 4 + [2] * 2)
-    assert cover_entropy(s, a) == pytest.approx(1.4949, abs=1e-3)
+    a = CoverAssignment(s, [0] * 5 + [1] * 4 + [2] * 2)
+    assert cover_entropy(a) == pytest.approx(1.4949, abs=1e-3)
 
 
 def test_cover_entropy_rejects_infeasible():
     with pytest.raises(FeasibilityError):
-        CoverAssignment.from_assignment(WORKED, [0, 0, 0, 0])  # 3 not in set 0
-    bad = CoverAssignment((0, 0, 0, 1), (2, 2, 0))
-    with pytest.raises(FeasibilityError):
-        cover_entropy(WORKED, bad)
+        CoverAssignment(WORKED, [0, 0, 0, 0])  # 3 not in set 0
+    # the counts are the assignment's own tally, so they cannot disagree
+    # with it, and the entropy is theirs
+    a = CoverAssignment(WORKED, [0, 0, 0, 1])
+    assert a.induced_counts == (3, 1, 0)
+    assert cover_entropy(a) == entropy_of_counts([3, 1])
 
 
 def test_exact_on_worked_instance():
     cover = exact_cover(WORKED)
-    assert cover_entropy(WORKED, cover) == pytest.approx(0.8113, abs=1e-3)
+    assert cover_entropy(cover) == pytest.approx(0.8113, abs=1e-3)
 
 
 def test_exact_on_partition_instance():
@@ -62,9 +66,9 @@ def test_exact_on_partition_instance():
 def test_exact_matches_independent_enumeration():
     for seed in range(20):
         s = random_setcover(6, 3, seed=seed)
-        got = cover_entropy(s, exact_cover(s))
+        got = cover_entropy(exact_cover(s))
         best = min(
-            cover_entropy(s, CoverAssignment.from_assignment(s, a))
+            cover_entropy(CoverAssignment(s, a))
             for a in itertools.product(*[s.sets_containing(x) for x in range(6)]))
         assert got == pytest.approx(best, abs=1e-12)
 
@@ -85,7 +89,7 @@ def test_greedy_within_log2e_of_optimum():
     for seed in range(150):
         rng = random.Random(seed)
         s = random_setcover(rng.randrange(1, 9), rng.randrange(1, 6), seed=seed)
-        gap = cover_entropy(s, greedy_cover(s)[0]) - cover_entropy(s, exact_cover(s))
+        gap = cover_entropy(greedy_cover(s)[0]) - cover_entropy(exact_cover(s))
         assert -1e-9 <= gap <= LOG2_E + 1e-9
 
 
@@ -194,26 +198,26 @@ def test_dual_feasibility_matches_brute_force():
 
 def test_likelihood_identity():
     cover, _ = greedy_cover(WORKED)
-    h = cover_entropy(WORKED, cover)
-    assert likelihood(WORKED, cover) == pytest.approx(-4 * h, abs=1e-9)
-    assert likelihood(WORKED, cover) == pytest.approx(-3.2451, abs=1e-3)
+    h = cover_entropy(cover)
+    assert likelihood(cover) == pytest.approx(-4 * h, abs=1e-9)
+    assert likelihood(cover) == pytest.approx(-3.2451, abs=1e-3)
 
 
 def test_likelihood_single_class_is_zero():
     s = SetSystem(3, [[0, 1, 2]])
     cover, _ = greedy_cover(s)
-    assert likelihood(s, cover) == 0.0
+    assert likelihood(cover) == 0.0
 
 
 def test_likelihood_argmax_equals_entropy_argmin():
     for seed in range(25):
         s = random_setcover(6, 3, seed=40 + seed)
         assignments = [
-            CoverAssignment.from_assignment(s, a)
+            CoverAssignment(s, a)
             for a in itertools.product(*[s.sets_containing(x) for x in range(6)])]
-        by_lik = max(assignments, key=lambda a: likelihood(s, a))
-        by_ent = min(assignments, key=lambda a: cover_entropy(s, a))
-        assert likelihood(s, by_lik) == pytest.approx(likelihood(s, by_ent), abs=1e-9)
+        by_lik = max(assignments, key=likelihood)
+        by_ent = min(assignments, key=cover_entropy)
+        assert likelihood(by_lik) == pytest.approx(likelihood(by_ent), abs=1e-9)
 
 
 def _first_optimal_cover(s):
@@ -250,7 +254,7 @@ def test_exact_cover_matches_enumeration_tie_for_tie():
     for s in systems:
         cover = exact_cover(s)
         assert cover.assignment == _first_optimal_cover(s), s.sets
-        assert cover == CoverAssignment.from_assignment(s, cover.assignment)
+        assert cover == CoverAssignment(s, cover.assignment)
 
 
 def test_exact_cover_depth_does_not_grow_with_forced_elements():
@@ -302,7 +306,7 @@ def test_greedy_cover_matches_intersecting_loop_tie_for_tie():
         assignment, rounds = _intersecting_greedy(s)
         assert trace.rounds == rounds, s.sets
         assert cover.assignment == assignment
-        assert cover == CoverAssignment.from_assignment(s, assignment)
+        assert cover == CoverAssignment(s, assignment)
 
 
 def test_greedy_cover_on_many_small_rounds_is_fast():
@@ -318,10 +322,67 @@ def test_greedy_cover_on_many_small_rounds_is_fast():
     assert [i for i, _ in trace.rounds] == list(range(n))
 
 
+def test_greedy_rounds_memory_on_singletons():
+    # A mask shifted into place takes about n - x bits for the set {x}, so
+    # n singletons held about n^2/16 bytes: a 31 MB peak at n = 20,000.
+    n = 20_000
+    s = SetSystem(n, [[x] for x in range(n)])
+    tracemalloc.start()
+    try:
+        rounds = _greedy_rounds(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [i for i, _ in rounds] == list(range(n))
+    assert peak < 10 * 2 ** 20
+
+
+def _shifted_mask_rounds(s):
+    """The lazy greedy with every mask shifted into place (element x is bit
+    n-1-x): (set index, elements newly covered) per round."""
+    n = s.universe_size
+    masks = [sum(1 << (n - 1 - x) for x in t) for t in s.sets]
+    heap = [(-len(t), i) for i, t in enumerate(s.sets) if t]
+    heapify(heap)
+    uncovered = (1 << n) - 1
+    rounds = []
+    while uncovered:
+        stale, i = heap[0]
+        size = (masks[i] & uncovered).bit_count()
+        if size == -stale:
+            heappop(heap)
+            rounds.append((i, [x for x in s.sets[i] if uncovered >> (n - 1 - x) & 1]))
+            uncovered &= ~masks[i]
+        elif size:
+            heapreplace(heap, (-size, i))
+        else:
+            heappop(heap)
+    return rounds
+
+
+def test_greedy_rounds_match_shifted_mask_loop_tie_for_tie():
+    systems = list(_tied_systems())
+    for seed in range(1500):
+        rng = random.Random(seed)
+        n = rng.randrange(1, 80)
+        # sparse sets far apart and wide ones, plus singletons to cover the rest
+        sets = [sorted(rng.sample(range(n), rng.randrange(1, min(n, 6) + 1)))
+                for _ in range(rng.randrange(0, 8))]
+        sets += [[x for x in range(n) if rng.random() < 0.5] or [0]
+                 for _ in range(rng.randrange(0, 4))]
+        sets += [[x] for x in range(n) if rng.random() < 0.5]
+        covered = set().union(*sets)
+        sets += [[x] for x in range(n) if x not in covered]
+        rng.shuffle(sets)
+        systems.append(SetSystem(n, sets))
+    for s in systems:
+        assert _greedy_rounds(s) == _shifted_mask_rounds(s), s.sets
+
+
 def test_assignment_to_a_set_not_containing_the_element_is_infeasible():
     s = SetSystem(5, [[0, 2, 4], [1, 3]])
-    assert CoverAssignment.from_assignment(s, [0, 1, 0, 1, 0]).induced_counts == (3, 2)
+    assert CoverAssignment(s, [0, 1, 0, 1, 0]).induced_counts == (3, 2)
     for bad in ([1, 1, 0, 1, 0], [0, 1, 0, 0, 0], [0, 1, 0, 1, 1], [0, 1, 0, 1, 2],
                 [0, 1, 0, 1, -1]):
         with pytest.raises(FeasibilityError):
-            CoverAssignment.from_assignment(s, bad)
+            CoverAssignment(s, bad)
