@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from .core import BudgetError, Graph, SetSystem, ValidationError
 from .coloring import Coloring, coloring_entropy
 
-DEFAULT_WILDCARD_CAP = 20
 HAPLOTYPE_CAP = 10 ** 5  # most distinct haplotypes haplotype_instance builds
 _DELETE_ALPHABET = str.maketrans("", "", "01?")  # a genotype translates to ""
 
@@ -64,18 +63,23 @@ class JointTable:
         return tuple(math.fsum(row) for row in self.probs)
 
 
+def _over_haplotype_cap() -> BudgetError:
+    return BudgetError(f"more than {HAPLOTYPE_CAP} distinct haplotypes (apps.HAPLOTYPE_CAP); "
+                       "lower the per-genotype wildcard count")
+
+
 def compatible_haplotypes(genotype: str) -> list[str]:
     """All binary strings matching the genotype on every non-? position, in
     lexicographic order (the first ? is the most significant bit).
 
-    The alphabet is checked before the wildcard cap, so no `%` reaches the
-    template."""
+    The alphabet is checked first, so no `%` reaches the template; then a
+    genotype whose 2^wildcards alone exceeds HAPLOTYPE_CAP is refused before
+    any string is built."""
     if genotype.translate(_DELETE_ALPHABET):
         raise ValidationError(f"invalid genotype character in {genotype!r}")
     holes = genotype.count("?")
-    if holes > DEFAULT_WILDCARD_CAP:
-        raise BudgetError(
-            f"genotype has {holes} wildcards, above the cap of {DEFAULT_WILDCARD_CAP}")
+    if 1 << holes > HAPLOTYPE_CAP:
+        raise _over_haplotype_cap()
     template = genotype.replace("?", "%s")
     return [template % bits for bits in itertools.product("01", repeat=holes)]
 
@@ -100,9 +104,7 @@ def haplotype_instance(panel: GenotypePanel) -> tuple[SetSystem, list[str]]:
         for h in compatible_haplotypes(g):
             members[h].append(i)
         if len(members) > HAPLOTYPE_CAP:
-            raise BudgetError(
-                f"more than {HAPLOTYPE_CAP} distinct haplotypes (apps.HAPLOTYPE_CAP); "
-                "lower the per-genotype wildcard count")
+            raise _over_haplotype_cap()
     labels = sorted(members)
     return SetSystem(len(panel.genotypes), [members[h] for h in labels]), labels
 

@@ -14,7 +14,7 @@ from .core import (BudgetError, FeasibilityError, Graph, IntervalSet,
                    ValidationError, _xlog2x, entropy_of_counts, max_point_depth,
                    xlog2x_table)
 
-DEFAULT_COLORING_CAP = 12
+COLORING_CAP = 15  # most vertices exact_coloring searches; J_5 has 15
 
 
 @dataclass(frozen=True)
@@ -173,15 +173,15 @@ class _XLog2X:
     __getitem__ = staticmethod(_xlog2x)
 
 
-def exact_coloring(g: Graph, limit: int = DEFAULT_COLORING_CAP) -> Coloring:
+def exact_coloring(g: Graph) -> Coloring:
     """Minimum-entropy proper coloring by canonical set-partition search with
     dominance-envelope pruning; returns the lexicographically smallest
     optimal canonical color vector. The objective is coloring_entropy's: a
     class weighs its vertices' weights on a weighted graph, 1 per vertex
     otherwise."""
     n = g.n
-    if n > limit:
-        raise BudgetError(f"exact coloring oracle limited to {limit} vertices")
+    if n > COLORING_CAP:
+        raise BudgetError(f"exact coloring oracle limited to {COLORING_CAP} vertices")
     if n == 0:
         raise ValidationError("empty graph has no coloring")
     adj = g.adjacency_masks()

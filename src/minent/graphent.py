@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .core import BudgetError, Graph, ValidationError
-from .coloring import DEFAULT_COLORING_CAP, coloring_entropy, exact_coloring, greedy_coloring
+from .coloring import coloring_entropy, exact_coloring, greedy_coloring
 
 LN2 = math.log(2.0)
 MIS_LIMIT = 10 ** 5  # most maximal independent sets graph_entropy enumerates
@@ -167,8 +167,8 @@ class GreedyEntropyReport:
 
 def greedy_vs_entropy(g: Graph, constant: float = 4.0, tol: float = 1e-6) -> GreedyEntropyReport:
     """Compare the greedy-coloring entropy g against the graph entropy H and
-    the bound g <= H + log2(H + 1) + constant; when the exact coloring oracle
-    is affordable, also check the relaxation chain
+    the bound g <= H + log2(H + 1) + constant; when exact_coloring does not
+    refuse the graph as too large, also check the relaxation chain
     H <= chromatic entropy <= g. All three are taken under the uniform
     distribution, the one graph_entropy uses: vertex weights are ignored."""
     if g.weights is not None:
@@ -177,10 +177,12 @@ def greedy_vs_entropy(g: Graph, constant: float = 4.0, tol: float = 1e-6) -> Gre
     g_bits = coloring_entropy(g, greedy)
     h_bits, _ = graph_entropy(g, tol)
     rhs = h_bits + math.log2(h_bits + 1.0) + constant
-    chrom = None
-    chain = None
-    if g.n <= DEFAULT_COLORING_CAP:
-        chrom = coloring_entropy(g, exact_coloring(g))
+    try:
+        exact = exact_coloring(g)
+    except BudgetError:  # refused before any search: the chain goes unchecked
+        chrom = chain = None
+    else:
+        chrom = coloring_entropy(g, exact)
         chain = (h_bits <= chrom + tol) and (chrom <= g_bits + 1e-9)
     return GreedyEntropyReport(g_bits, h_bits, rhs, g_bits <= rhs + 1e-9,
                                chrom, chain)

@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 from .core import (WORK_BUDGET, BudgetError, FeasibilityError, Graph, SetSystem,
                    ValidationError, _xlog2x, entropy_of_counts)
@@ -40,15 +39,12 @@ class EstimatorParams:
     epsilon: float
     delta: float
     seed: int = 0
-    s: Optional[int] = None
 
     def __post_init__(self):
         if not 0 < self.epsilon < math.inf:
             raise ValidationError("epsilon must be positive and finite")
         if not 0 < self.delta < 1:
             raise ValidationError("delta must be in (0,1)")
-        if self.s is not None and self.s < 1:
-            raise ValidationError("sample count must be >= 1")
 
 
 def orientation_entropy(o: Orientation) -> float:
@@ -143,7 +139,7 @@ def estimate_entropy(g: Graph, p: EstimatorParams, one_sided: bool = False,
     if full_sweep:
         samples = range(n)
     else:
-        s = p.s if p.s is not None else sample_count(p.epsilon, p.delta, g.max_degree())
+        s = sample_count(p.epsilon, p.delta, g.max_degree())
         rng = random.Random(p.seed)
         samples = [rng.randrange(n) for _ in range(s)]
     terms = {}  # rho log2 rho of each sampled vertex, computed once

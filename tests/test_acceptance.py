@@ -201,7 +201,7 @@ def test_criterion_6_jk_gadget():
     ok = True
     for k in range(1, 6):
         g = interval_graph(col.gen_jk(k))
-        coloring = col.exact_coloring(g, limit=15)
+        coloring = col.exact_coloring(g)
         if sorted(coloring.class_counts(), reverse=True) != list(range(k, 0, -1)):
             ok = False
         for row in col.jk_rows(k):

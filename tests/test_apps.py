@@ -4,9 +4,8 @@ import random
 import pytest
 
 from minent import apps
-from minent.apps import (DEFAULT_WILDCARD_CAP, GenotypePanel, JointTable, code_rate,
-                         compatible_haplotypes, confusability_graph, explains,
-                         haplotype_instance)
+from minent.apps import (GenotypePanel, JointTable, code_rate, compatible_haplotypes,
+                         confusability_graph, explains, haplotype_instance)
 from minent.coloring import Coloring, greedy_coloring
 from minent.core import BudgetError, SetSystem, ValidationError
 from minent.setcover import cover_entropy, exact_cover, greedy_cover, likelihood
@@ -24,8 +23,10 @@ def test_compatible_haplotypes():
 def test_compatible_haplotypes_errors():
     with pytest.raises(ValidationError):
         compatible_haplotypes("0x1")
-    with pytest.raises(BudgetError):
-        compatible_haplotypes("?" * 25)
+    assert len(compatible_haplotypes("?" * 16)) == 2 ** 16 <= apps.HAPLOTYPE_CAP
+    for holes in (17, 25):
+        with pytest.raises(BudgetError):
+            compatible_haplotypes("?" * holes)
 
 
 def _loop_compatible_haplotypes(genotype):
@@ -34,9 +35,9 @@ def _loop_compatible_haplotypes(genotype):
     if any(ch not in "01?" for ch in genotype):
         raise ValidationError(f"invalid genotype character in {genotype!r}")
     holes = [i for i, ch in enumerate(genotype) if ch == "?"]
-    if len(holes) > DEFAULT_WILDCARD_CAP:
-        raise BudgetError(
-            f"genotype has {len(holes)} wildcards, above the cap of {DEFAULT_WILDCARD_CAP}")
+    if 2 ** len(holes) > apps.HAPLOTYPE_CAP:
+        raise BudgetError(f"more than {apps.HAPLOTYPE_CAP} distinct haplotypes "
+                          "(apps.HAPLOTYPE_CAP); lower the per-genotype wildcard count")
     out = []
     for bits in range(1 << len(holes)):
         chars = list(genotype)
@@ -58,9 +59,10 @@ def test_compatible_haplotypes_matches_character_loop():
         assert compatible_haplotypes(g) == _loop_compatible_haplotypes(g), g
 
 
-@pytest.mark.parametrize("genotype", ["0%?", "0\u0661?", "01?2", "?" * 21, "%" + "?" * 21],
-                         ids=["percent", "arabic-indic-one", "digit-2", "21-wildcards",
-                              "percent-21-wildcards"])
+@pytest.mark.parametrize("genotype", ["0%?", "0\u0661?", "01?2", "?" * 17 + "01", "?" * 21,
+                                     "%" + "?" * 21],
+                         ids=["percent", "arabic-indic-one", "digit-2", "17-wildcards",
+                              "21-wildcards", "percent-21-wildcards"])
 def test_compatible_haplotypes_errors_match_character_loop(genotype):
     with pytest.raises((ValidationError, BudgetError)) as old:
         _loop_compatible_haplotypes(genotype)

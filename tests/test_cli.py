@@ -3,6 +3,7 @@ import random
 import re
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -189,6 +190,24 @@ def test_cli_app_haplotype_over_cap_exits_2(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: more than 3 distinct haplotypes (apps.HAPLOTYPE_CAP)")
     assert "Traceback" not in err
+
+
+def test_cli_app_haplotype_refuses_a_wide_genotype_before_expanding_it(tmp_path, capsys):
+    # 2^20 compatible haplotypes: expanded before the cap was checked, this
+    # peaked at about 208 MB
+    f = tmp_path / "panel.txt"
+    f.write_text("?" * 20 + "0101\n")
+    tracemalloc.start()
+    try:
+        code = main(["app", "haplotype", "--input", str(f)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: more than {apps.HAPLOTYPE_CAP} distinct haplotypes")
+    assert "Traceback" not in err
+    assert peak < 10_000_000
 
 
 ORIENT_GRAPH = "graph 5 6\n0 1\n1 2\n2 3\n0 3\n3 4\n1 4\n"

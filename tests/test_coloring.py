@@ -326,7 +326,7 @@ def test_exact_coloring_weights_off_one_within_tolerance():
 
 def test_exact_coloring_budget():
     with pytest.raises(BudgetError):
-        exact_coloring(Graph(13, []))
+        exact_coloring(Graph(16, []))
 
 
 def test_gen_jk():

@@ -90,32 +90,6 @@ def test_dominates_exact_on_rationals():
     assert dominates(r, q) and dominates(q, r)
 
 
-def _partitions(total, maxpart=None):
-    if total == 0:
-        yield ()
-        return
-    if maxpart is None:
-        maxpart = total
-    for first in range(min(total, maxpart), 0, -1):
-        for rest in _partitions(total - first, first):
-            yield (first,) + rest
-
-
-def test_dominance_entropy_monotonicity_exhaustive():
-    # all nonincreasing integer-count distributions with total <= 12:
-    # q dominated by r forces H(q) >= H(r), equality iff q == r
-    dists = sorted({tuple(Fraction(c, t) for c in p)
-                    for t in range(1, 13) for p in _partitions(t)})
-    ents = {d: entropy(Distribution(d)) for d in dists}
-    for q in dists:
-        for r in dists:
-            if dominates(Distribution(r), Distribution(q)):
-                if q == r:
-                    assert ents[q] == ents[r]
-                else:
-                    assert ents[q] > ents[r]
-
-
 def test_graph_validation():
     with pytest.raises(ValidationError):
         Graph(3, [(0, 0)])

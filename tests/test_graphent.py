@@ -5,12 +5,12 @@ import sys
 import pytest
 
 from minent import graphent
-from minent.coloring import coloring_entropy, exact_coloring, greedy_coloring
+from minent.coloring import coloring_entropy, exact_coloring, gen_jk, greedy_coloring
 from minent.cli import main
-from minent.core import BudgetError, Graph, ValidationError, interval_graph
+from minent.core import BudgetError, Graph, ValidationError, entropy_of_counts, interval_graph
 from minent.graphent import (ConvergenceError, enumerate_maximal_independent_sets,
                              graph_entropy, greedy_vs_entropy, splitting_gap)
-from minent.io import random_bipartite_graph, random_intervals
+from minent.io import random_bipartite_graph, random_graph, random_intervals
 
 C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 C5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -68,6 +68,26 @@ def test_cli_graphent_step_cap_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["graphent", "compute", "--input", str(f)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: graph entropy solver did not converge")
+    assert "Traceback" not in err
+
+
+def test_graph_entropy_stall_raises_with_value_and_gap():
+    # the line search finds no improving step while the gap is 2.2e-16, long
+    # before the step cap
+    g = random_graph(4, 4, seed=0)
+    assert g.edges == ((1, 2), (2, 3), (0, 1), (0, 2))
+    with pytest.raises(ConvergenceError, match="graph entropy solver stalled") as err:
+        graph_entropy(g, tol=1e-300)
+    assert math.isfinite(err.value.value)
+    assert err.value.gap > 1e-300
+
+
+def test_cli_graphent_stall_exits_2(tmp_path, capsys):
+    f = tmp_path / "g.g"
+    f.write_text("graph 4 4\n1 2\n2 3\n0 1\n0 2\n")
+    assert main(["graphent", "compute", "--tol", "1e-300", "--input", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: graph entropy solver stalled")
     assert "Traceback" not in err
 
 
@@ -166,3 +186,14 @@ def test_greedy_vs_entropy_perfect_family():
         rep = greedy_vs_entropy(g)
         assert rep.bound_holds
         assert rep.chain_ok
+
+
+def test_greedy_vs_entropy_checks_the_chain_up_to_the_coloring_cap():
+    j5 = interval_graph(gen_jk(5))
+    rep = greedy_vs_entropy(j5)  # 15 vertices: exact_coloring takes it
+    assert rep.chromatic_entropy == pytest.approx(
+        entropy_of_counts([5, 4, 3, 2, 1]), abs=1e-12)
+    assert rep.chain_ok
+    rep = greedy_vs_entropy(Graph(16, j5.edges))  # one vertex more: refused
+    assert rep.chromatic_entropy is None and rep.chain_ok is None
+    assert rep.bound_holds

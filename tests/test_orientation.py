@@ -201,12 +201,14 @@ def test_estimator_inner_sum_unbiased():
     # checked by averaging over many seeds, tolerance 3 standard errors
     g = random_regular_graph(8, 3, seed=5)
     n, m, s = g.n, g.m, 6
+    p = EstimatorParams(2.75, 0.05)
+    assert sample_count(p.epsilon, p.delta, g.max_degree()) == s
     pop = [local_indegree(g, v) for v in range(n)]
     pop_sum = math.fsum(r * math.log2(r) for r in pop if r)
     seeds = 10_000
     draws = []
     for seed in range(seeds):
-        h = estimate_entropy(g, EstimatorParams(0.5, 0.05, seed=seed, s=s))
+        h = estimate_entropy(g, EstimatorParams(p.epsilon, p.delta, seed=seed))
         draws.append((math.log2(m) - h) * s * m / n)  # recover the inner sum
     mean = math.fsum(draws) / seeds
     var = math.fsum((x - mean) ** 2 for x in draws) / (seeds - 1)
@@ -269,7 +271,7 @@ def _reference_estimate(g, p, one_sided=False, full_sweep=False):
     if full_sweep:
         samples = list(range(n))
     else:
-        s = p.s if p.s is not None else sample_count(p.epsilon, p.delta, g.max_degree())
+        s = sample_count(p.epsilon, p.delta, g.max_degree())
         rng = random.Random(p.seed)
         samples = [rng.randrange(n) for _ in range(s)]
     rhos = [sum(1 for w in g.adjacency[v] if _reference_head(g, v, w) == v)
@@ -308,11 +310,20 @@ def test_biased_orientation_matches_edge_head_loop_tie_for_tie():
         assert [local_indegree(g, v) for v in range(g.n)] == list(o.indegrees)
 
 
+def _epsilon_for(s, g, delta=0.05):
+    """An epsilon whose Hoeffding sample count on g is s - 1/2 before it is
+    rounded up to s."""
+    d = g.max_degree()
+    eps = max(d * math.log2(d), 1.0) * math.sqrt(math.log(2 / delta) / (2 * s - 1))
+    assert sample_count(eps, delta, d) == s
+    return eps
+
+
 def test_estimator_matches_edge_head_loop_tie_for_tie():
     for g in _degree_tied_graphs():
         if g.m < g.n:
             continue
-        for seed, (eps, s) in enumerate([(2.0, None), (0.5, None), (1.0, 7), (0.25, 1)]):
-            p = EstimatorParams(eps, 0.05, seed=seed, s=s)
+        for seed, eps in enumerate([2.0, 0.5, _epsilon_for(7, g), _epsilon_for(1, g)]):
+            p = EstimatorParams(eps, 0.05, seed=seed)
             for kw in ({}, {"one_sided": True}, {"full_sweep": True}):
                 assert estimate_entropy(g, p, **kw) == _reference_estimate(g, p, **kw), g.edges
