@@ -41,7 +41,7 @@ def _cmd_setcover(args, text: str, report: dict) -> dict:
     report.update(entropy_bits=setcover.cover_entropy(cover),
                   counts=list(cover.induced_counts))
     if args.action == "greedy":
-        report["rounds"] = [[i, sorted(s)] for i, s in trace.rounds]
+        report["rounds"] = [[i, list(new)] for i, new in trace.rounds]
     if args.action != "certify":
         report["assignment"] = list(cover.assignment)
         return {}
@@ -58,9 +58,9 @@ def _cmd_setcover(args, text: str, report: dict) -> dict:
 def _cmd_orient(args, text: str, report: dict) -> dict:
     g = _load_graph_like(text)
     if args.action == "estimate":
-        params = orientation.EstimatorParams(args.epsilon, args.delta, args.seed)
         s = orientation.sample_count(args.epsilon, args.delta, g.max_degree())
-        h = orientation.estimate_entropy(g, params, one_sided=args.one_sided)
+        h = orientation.estimate_entropy(g, args.epsilon, args.delta, args.seed,
+                                         one_sided=args.one_sided)
         report.update(H=h, s=s, epsilon=args.epsilon, delta=args.delta)
         return {}
     o = (orientation.biased_orientation(g) if args.action == "biased"
@@ -228,7 +228,7 @@ def main(argv=None) -> int:
             return 0
         with open(args.input) as f:
             text = f.read()
-        report = {"command": " ".join(sys.argv[1:]),
+        report = {"command": " ".join(sys.argv[1:] if argv is None else argv),
                   "input_digest": hashlib.sha256(text.encode()).hexdigest(),
                   "seed": args.seed}
         checks = _HANDLERS[args.group](args, text, report)

@@ -7,8 +7,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .core import BudgetError, Graph, ValidationError
 from .coloring import coloring_entropy, exact_coloring, greedy_coloring
 
@@ -78,6 +76,7 @@ def graph_entropy(g: Graph, tol: float = 1e-6) -> tuple[float, EntropyWitness]:
     pairwise Frank-Wolfe over the simplex of maximal independent sets with
     exact line search; stops when the conditional-gradient duality gap
     drops below tol (bits)."""
+    import numpy as np  # here: at module level every minent command would load it
     if not tol > 0:
         raise ValidationError("tol must be positive")
     n = g.n

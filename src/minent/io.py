@@ -14,7 +14,7 @@ from .core import Graph, IntervalSet, SetSystem, ValidationError
 from .apps import GenotypePanel, JointTable
 
 # Largest vertex count a graph header may declare: Graph allocates from it.
-MAX_GRAPH_VERTICES = 10 ** 7
+MAX_GRAPH_VERTICES = 10 ** 6
 MAX_TRIES = 10_000  # draws a rejection-sampling generator makes before giving up
 
 

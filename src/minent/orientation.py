@@ -16,12 +16,14 @@ from .setcover import exact_cover
 @dataclass(frozen=True)
 class Orientation:
     """Per-edge (tail, head) pairs, aligned with graph.edges, plus indegrees,
-    checked against the graph when built."""
+    checked against the graph when built; a graph with no edges is refused."""
 
     direction: tuple[tuple[int, int], ...]
     indegrees: tuple[int, ...]
 
     def __init__(self, g: Graph, direction):
+        if g.m == 0:
+            raise ValidationError("graph has no edges to orient")
         direction = tuple(map(tuple, direction))
         if len(direction) != g.m:
             raise FeasibilityError("one direction per edge required")
@@ -34,31 +36,14 @@ class Orientation:
         object.__setattr__(self, "indegrees", tuple(indeg))
 
 
-@dataclass(frozen=True)
-class EstimatorParams:
-    epsilon: float
-    delta: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0 < self.epsilon < math.inf:
-            raise ValidationError("epsilon must be positive and finite")
-        if not 0 < self.delta < 1:
-            raise ValidationError("delta must be in (0,1)")
-
-
 def orientation_entropy(o: Orientation) -> float:
     """Entropy (bits) of {indegree(v)/m} over vertices of positive indegree."""
-    if not o.direction:
-        raise ValidationError("graph has no edges to orient")
     return entropy_of_counts(o.indegrees)
 
 
 def biased_orientation(g: Graph) -> Orientation:
     """Orient every edge toward its higher-degree endpoint; degree ties go to
     the higher-numbered endpoint."""
-    if g.m == 0:
-        raise ValidationError("graph has no edges to orient")
     n = g.n
     # rank[v] = degree * n + v orders the vertices by (degree, index): each
     # edge's head is its endpoint of higher rank. An edge (u, v) whose head
@@ -125,22 +110,23 @@ def local_indegree(g: Graph, v: int) -> int:
     return indeg
 
 
-def estimate_entropy(g: Graph, p: EstimatorParams, one_sided: bool = False,
-                     full_sweep: bool = False) -> float:
+def estimate_entropy(g: Graph, epsilon: float, delta: float, seed: int = 0,
+                     one_sided: bool = False, full_sweep: bool = False) -> float:
     """Sampling estimate of the entropy of the preferred biased orientation:
     H = log2 m - (n/(s m)) * sum_i rho(v_i) log2 rho(v_i), with vertices
     sampled uniformly with replacement. `full_sweep` visits every vertex
-    exactly once instead, making the estimate exact. The one-sided variant
-    returns H + epsilon. Each distinct sampled vertex's rho is read off its
+    exactly once instead, making the estimate exact; epsilon and delta are
+    checked by `sample_count` either way. The one-sided variant returns
+    H + epsilon. Each distinct sampled vertex's rho is read off its
     neighbors' degrees once, so the estimate costs O(s + min(s, n) Delta)."""
     n, m = g.n, g.m
     if m < n or n < 1:
         raise ValidationError("estimator requires at least as many edges as vertices")
+    s = sample_count(epsilon, delta, g.max_degree())
     if full_sweep:
         samples = range(n)
     else:
-        s = sample_count(p.epsilon, p.delta, g.max_degree())
-        rng = random.Random(p.seed)
+        rng = random.Random(seed)
         samples = [rng.randrange(n) for _ in range(s)]
     terms = {}  # rho log2 rho of each sampled vertex, computed once
     for v in samples:
@@ -149,4 +135,4 @@ def estimate_entropy(g: Graph, p: EstimatorParams, one_sided: bool = False,
             terms[v] = _xlog2x(rho)
     acc = math.fsum(map(terms.__getitem__, samples))
     h = math.log2(m) - (n / (len(samples) * m)) * acc
-    return h + p.epsilon if one_sided else h
+    return h + epsilon if one_sided else h

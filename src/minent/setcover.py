@@ -41,9 +41,10 @@ def _contains(members: tuple[int, ...], x: int) -> bool:
 
 @dataclass(frozen=True)
 class GreedyTrace:
-    """Greedy rounds: (chosen set index, elements newly covered that round)."""
+    """Greedy rounds: (chosen set index, elements newly covered that round,
+    ascending)."""
 
-    rounds: tuple[tuple[int, frozenset], ...]
+    rounds: tuple[tuple[int, tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,7 @@ def greedy_cover(s: SetSystem) -> tuple[CoverAssignment, GreedyTrace]:
         for x in new:
             assignment[x] = i
     cover = CoverAssignment(s, assignment)
-    return cover, GreedyTrace(tuple((i, frozenset(new)) for i, new in rounds))
+    return cover, GreedyTrace(tuple((i, tuple(new)) for i, new in rounds))
 
 
 def exact_cover(s: SetSystem) -> CoverAssignment:
@@ -226,7 +227,8 @@ def dual_certificate(s: SetSystem, t: GreedyTrace) -> DualCertificate:
     covered = [False] * n
     y = [0.0] * n
     for set_idx, new in t.rounds:
-        if not new or not new <= set(s.sets[set_idx]):
+        if not (new and 0 <= set_idx < s.k
+                and all(_contains(s.sets[set_idx], v) for v in new)):
             raise FeasibilityError("trace round inconsistent with set system")
         size = len(new)
         for v in new:

@@ -1,6 +1,8 @@
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -8,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import minent
 from minent import apps
 from minent.cli import main
 from minent.core import Graph, IntervalSet, SetSystem
@@ -214,19 +217,24 @@ ORIENT_GRAPH = "graph 5 6\n0 1\n1 2\n2 3\n0 3\n3 4\n1 4\n"
 ORIENT_DIRECTION = "[[0, 1], [2, 1], [2, 3], [0, 3], [4, 3], [4, 1]]"
 
 
+def _timed_outputs(capsys, argv):
+    """The JSON and the text report of one call, with the timing masked."""
+    outs = []
+    for extra in (["--json"], []):
+        code, out = _run(capsys, argv + extra)
+        assert code == 0
+        outs.append(re.sub(r'timing_ms("?): [0-9.e+-]+', r"timing_ms\1: T", out))
+    return outs
+
+
 @pytest.mark.parametrize("action", ["biased", "exact"])
 def test_cli_orient_output_bytes(tmp_path, capsys, monkeypatch, action):
     """Both report modes, byte for byte apart from the timing: JSON writes the
-    direction tuples as lists, text prints the lists' repr."""
+    direction tuples as lists, text prints the lists' repr. The command is
+    the argv given to main, not the host process's."""
     (tmp_path / "g.txt").write_text(ORIENT_GRAPH)
     monkeypatch.chdir(tmp_path)
-    outs = []
-    for extra in (["--json"], []):
-        argv = ["orient", action, "--input", "g.txt"] + extra
-        monkeypatch.setattr(sys, "argv", ["minent"] + argv)
-        code, out = _run(capsys, argv)
-        assert code == 0
-        outs.append(re.sub(r'timing_ms("?): [0-9.e+-]+', r"timing_ms\1: T", out))
+    outs = _timed_outputs(capsys, ["orient", action, "--input", "g.txt"])
     assert outs[0] == (
         f'{{"checks": {{}}, "command": "orient {action} --input g.txt --json", '
         f'"direction": {ORIENT_DIRECTION}, "entropy_bits": 1.0, '
@@ -235,6 +243,37 @@ def test_cli_orient_output_bytes(tmp_path, capsys, monkeypatch, action):
         '"seed": 0, "timing_ms": T}\n')
     assert outs[1] == (f"checks: {{}}\ndirection: {ORIENT_DIRECTION}\nentropy_bits: 1.0\n"
                        "indegrees: [0, 3, 0, 3, 0]\nseed: 0\ntiming_ms: T\n")
+
+
+SETCOVER_ROUNDS = "[[4, [0, 1, 2, 4, 5, 6, 7, 9]], [0, [3]], [3, [8]]]"
+
+
+def test_cli_setcover_greedy_output_bytes(tmp_path, capsys, monkeypatch):
+    """The rounds print ascending, as lists, in both report modes."""
+    (tmp_path / "s.txt").write_text(serialize_setcover(random_setcover(10, 5, seed=4)))
+    monkeypatch.chdir(tmp_path)
+    outs = _timed_outputs(capsys, ["setcover", "greedy", "--input", "s.txt"])
+    assignment, counts = "[4, 4, 4, 0, 4, 4, 4, 4, 3, 4]", "[1, 0, 0, 1, 8]"
+    assert outs[0] == (
+        f'{{"assignment": {assignment}, "checks": {{}}, '
+        '"command": "setcover greedy --input s.txt --json", '
+        f'"counts": {counts}, "entropy_bits": 0.9219280948873623, "input_digest": '
+        '"1677f980c7b4f433638c18add22594e9d4b2440c420814127a64b67fde5aa6f7", '
+        f'"rounds": {SETCOVER_ROUNDS}, "seed": 0, "timing_ms": T}}\n')
+    assert outs[1] == (f"assignment: {assignment}\nchecks: {{}}\ncounts: {counts}\n"
+                       f"entropy_bits: 0.9219280948873623\nrounds: {SETCOVER_ROUNDS}\n"
+                       "seed: 0\ntiming_ms: T\n")
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # Only graph entropy uses numpy; the other commands must not pay for it.
+    src = os.path.dirname(os.path.dirname(minent.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, minent.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
 
 
 def test_cli_input_error_exit_code(tmp_path, capsys):
@@ -260,6 +299,13 @@ def test_cli_malformed_header_exits_2(tmp_path, capsys, argv, text):
     err = capsys.readouterr().err
     assert err.startswith("error: line ")
     assert "Traceback" not in err
+
+
+def test_cli_graph_over_vertex_cap_exits_2(tmp_path, capsys):
+    f = tmp_path / "big.g"
+    f.write_text("graph 1000001 1\n0 1\n")
+    assert main(["orient", "biased", "--input", str(f)]) == 2
+    assert capsys.readouterr().err == "error: line 1: more than 1000000 vertices\n"
 
 
 @pytest.mark.parametrize("argv, data", [

@@ -7,8 +7,7 @@ import pytest
 from minent.core import (BudgetError, FeasibilityError, Graph, ValidationError,
                          entropy_of_counts)
 from minent.io import random_connected_graph, random_graph, random_regular_graph
-from minent.orientation import (EstimatorParams, Orientation,
-                                biased_orientation, estimate_entropy,
+from minent.orientation import (Orientation, biased_orientation, estimate_entropy,
                                 exact_orientation, local_indegree,
                                 orientation_entropy, sample_count)
 
@@ -39,10 +38,8 @@ def test_orientation_validation():
         Orientation(TRIANGLE, [(0, 1), (0, 2)])
     with pytest.raises(FeasibilityError):
         Orientation(TRIANGLE, [(0, 1), (0, 2), (0, 2)])
-    edgeless = Orientation(Graph(2, []), [])
-    assert edgeless.indegrees == (0, 0)
     with pytest.raises(ValidationError, match="graph has no edges to orient"):
-        orientation_entropy(edgeless)
+        Orientation(Graph(2, []), [])
 
 
 def test_orientation_accepts_only_the_edge_or_its_reverse():
@@ -145,10 +142,8 @@ def test_sample_count_is_positive_and_needs_finite_epsilon():
     for eps in (math.nan, math.inf):
         with pytest.raises(ValidationError):
             sample_count(eps, 0.05, 4)
-        with pytest.raises(ValidationError):
-            EstimatorParams(eps, 0.05)
     g = random_regular_graph(8, 4, seed=3)
-    assert math.isfinite(estimate_entropy(g, EstimatorParams(1e300, 0.05)))
+    assert math.isfinite(estimate_entropy(g, 1e300, 0.05))
 
 
 def test_sample_count_budget():
@@ -167,26 +162,37 @@ def test_sample_count_degree_guard():
         sample_count(0.5, 1.5, 3)
 
 
+def test_estimator_checks_epsilon_and_delta_on_both_branches():
+    for full_sweep in (False, True):
+        for eps, delta in [(math.nan, 0.05), (math.inf, 0.05), (0.0, 0.05), (-1.0, 0.05),
+                           (0.5, 0.0), (0.5, 1.0), (0.5, math.nan)]:
+            with pytest.raises(ValidationError, match=r"need finite epsilon > 0 and delta"):
+                estimate_entropy(TRIANGLE, eps, delta, full_sweep=full_sweep)
+        # the sweep ignores the count, but an over-budget epsilon is still refused
+        with pytest.raises(BudgetError):
+            estimate_entropy(TRIANGLE, 1e-4, 0.05, full_sweep=full_sweep)
+
+
 def test_estimator_requires_m_at_least_n():
     path = Graph(3, [(0, 1), (1, 2)])
     with pytest.raises(ValidationError):
-        estimate_entropy(path, EstimatorParams(0.5, 0.05))
+        estimate_entropy(path, 0.5, 0.05)
 
 
 def test_estimator_full_sweep_matches_biased_entropy():
     for seed in range(10):
         g = random_regular_graph(10, 3, seed=seed)
-        h = estimate_entropy(g, EstimatorParams(0.5, 0.05), full_sweep=True)
+        h = estimate_entropy(g, 0.5, 0.05, full_sweep=True)
         ref = orientation_entropy(biased_orientation(g))
         assert h == pytest.approx(ref, abs=1e-9)
 
 
 def test_estimator_deterministic_per_seed():
     g = random_regular_graph(10, 3, seed=1)
-    p = EstimatorParams(0.5, 0.05, seed=42)
-    assert estimate_entropy(g, p) == estimate_entropy(g, p)
-    assert estimate_entropy(g, p, one_sided=True) == pytest.approx(
-        estimate_entropy(g, p) + 0.5, abs=1e-12)
+    h = estimate_entropy(g, 0.5, 0.05, seed=42)
+    assert estimate_entropy(g, 0.5, 0.05, seed=42) == h
+    assert estimate_entropy(g, 0.5, 0.05, seed=42, one_sided=True) == pytest.approx(
+        h + 0.5, abs=1e-12)
 
 
 def test_local_indegree_matches_global():
@@ -201,14 +207,14 @@ def test_estimator_inner_sum_unbiased():
     # checked by averaging over many seeds, tolerance 3 standard errors
     g = random_regular_graph(8, 3, seed=5)
     n, m, s = g.n, g.m, 6
-    p = EstimatorParams(2.75, 0.05)
-    assert sample_count(p.epsilon, p.delta, g.max_degree()) == s
+    eps, delta = 2.75, 0.05
+    assert sample_count(eps, delta, g.max_degree()) == s
     pop = [local_indegree(g, v) for v in range(n)]
     pop_sum = math.fsum(r * math.log2(r) for r in pop if r)
     seeds = 10_000
     draws = []
     for seed in range(seeds):
-        h = estimate_entropy(g, EstimatorParams(p.epsilon, p.delta, seed=seed))
+        h = estimate_entropy(g, eps, delta, seed=seed)
         draws.append((math.log2(m) - h) * s * m / n)  # recover the inner sum
     mean = math.fsum(draws) / seeds
     var = math.fsum((x - mean) ** 2 for x in draws) / (seeds - 1)
@@ -266,19 +272,19 @@ def _reference_head(g, u, v):
     return max(u, v)
 
 
-def _reference_estimate(g, p, one_sided=False, full_sweep=False):
+def _reference_estimate(g, epsilon, delta, seed=0, one_sided=False, full_sweep=False):
     n, m = g.n, g.m
     if full_sweep:
         samples = list(range(n))
     else:
-        s = sample_count(p.epsilon, p.delta, g.max_degree())
-        rng = random.Random(p.seed)
+        s = sample_count(epsilon, delta, g.max_degree())
+        rng = random.Random(seed)
         samples = [rng.randrange(n) for _ in range(s)]
     rhos = [sum(1 for w in g.adjacency[v] if _reference_head(g, v, w) == v)
             for v in samples]
     acc = math.fsum(r * math.log2(r) for r in rhos if r)
     h = math.log2(m) - (n / (len(samples) * m)) * acc
-    return h + p.epsilon if one_sided else h
+    return h + epsilon if one_sided else h
 
 
 def _degree_tied_graphs():
@@ -324,6 +330,6 @@ def test_estimator_matches_edge_head_loop_tie_for_tie():
         if g.m < g.n:
             continue
         for seed, eps in enumerate([2.0, 0.5, _epsilon_for(7, g), _epsilon_for(1, g)]):
-            p = EstimatorParams(eps, 0.05, seed=seed)
             for kw in ({}, {"one_sided": True}, {"full_sweep": True}):
-                assert estimate_entropy(g, p, **kw) == _reference_estimate(g, p, **kw), g.edges
+                assert (estimate_entropy(g, eps, 0.05, seed, **kw)
+                        == _reference_estimate(g, eps, 0.05, seed, **kw)), g.edges

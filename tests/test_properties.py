@@ -219,7 +219,7 @@ def test_parsers_match_int_parse_on_mutated_files(text, data):
 
 
 def test_id_table_is_bounded_by_the_input(monkeypatch):
-    # A 10^7-vertex header with one edge: the parser's own allocations stay
+    # A 10^6-vertex header with one edge: the parser's own allocations stay
     # small (Graph itself, which allocates per vertex, is stubbed out here).
     monkeypatch.setattr(mio, "Graph", lambda n, edges, weights: (n, edges, weights))
     tracemalloc.start()

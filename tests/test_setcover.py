@@ -9,8 +9,8 @@ import pytest
 
 from minent.core import LOG2_E, BudgetError, FeasibilityError, SetSystem, entropy_of_counts
 from minent.io import random_setcover
-from minent.setcover import (CoverAssignment, DualCertificate, _greedy_rounds, cover_entropy,
-                             dual_certificate, exact_cover, greedy_cover,
+from minent.setcover import (CoverAssignment, DualCertificate, GreedyTrace, _greedy_rounds,
+                             cover_entropy, dual_certificate, exact_cover, greedy_cover,
                              likelihood, verify_dual_feasibility)
 
 WORKED = SetSystem(4, [[0, 1, 2], [2, 3], [3]])
@@ -125,6 +125,14 @@ def test_dual_certificate_rejects_mismatched_trace():
     other = SetSystem(4, [[0, 1], [2, 3]])
     with pytest.raises(FeasibilityError):
         dual_certificate(other, trace)
+
+
+def test_dual_certificate_rejects_a_set_index_out_of_range():
+    # index -2 would read set 0 and index 5 would run off the list
+    s = SetSystem(2, [[0, 1], [1]])
+    for i in (-2, 5):
+        with pytest.raises(FeasibilityError, match="trace round inconsistent with set system"):
+            dual_certificate(s, GreedyTrace(((i, (0, 1)),)))
 
 
 def test_dual_feasibility_exhaustive_on_worked_instance():
@@ -281,7 +289,7 @@ def _intersecting_greedy(s):
         for x in best_new:
             assignment[x] = best_i
         uncovered -= best_new
-        rounds.append((best_i, frozenset(best_new)))
+        rounds.append((best_i, tuple(sorted(best_new))))
     return tuple(assignment), tuple(rounds)
 
 
@@ -305,6 +313,7 @@ def test_greedy_cover_matches_intersecting_loop_tie_for_tie():
         cover, trace = greedy_cover(s)
         assignment, rounds = _intersecting_greedy(s)
         assert trace.rounds == rounds, s.sets
+        assert trace.rounds == tuple((i, tuple(new)) for i, new in _greedy_rounds(s))
         assert cover.assignment == assignment
         assert cover == CoverAssignment(s, assignment)
 
