@@ -117,18 +117,22 @@ def _cmd_graphent(args, text: str, report: dict) -> dict:
     return checks
 
 
+# gen random --kind: (instance from the parsed options, its serializer)
+_GEN_KINDS = {
+    "graph": (lambda a: mio.random_graph(a.n, a.m, a.seed), mio.serialize_graph),
+    "interval": (lambda a: mio.random_intervals(a.n, a.seed), mio.serialize_intervals),
+    "setcover": (lambda a: mio.random_setcover(a.n, a.k, a.seed), mio.serialize_setcover),
+    "regular": (lambda a: mio.random_regular_graph(a.n, a.delta, a.seed),
+                mio.serialize_graph),
+}
+
+
 def _cmd_gen(args) -> None:
     if args.action == "jk":
         print(mio.serialize_intervals(coloring.gen_jk(args.k)), end="")
         return
-    inst = mio.gen_random(args.kind, seed=args.seed, n=args.n, m=args.m,
-                          k=args.k, delta=args.delta)
-    if args.kind in ("graph", "regular"):
-        print(mio.serialize_graph(inst), end="")
-    elif args.kind == "interval":
-        print(mio.serialize_intervals(inst), end="")
-    else:
-        print(mio.serialize_setcover(inst), end="")
+    make, serialize = _GEN_KINDS[args.kind]
+    print(serialize(make(args)), end="")
 
 
 def _cmd_app(args, text: str, report: dict) -> dict:
@@ -192,8 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen")
     p.add_argument("action", choices=["jk", "random"])
     p.add_argument("--k", type=int, default=3)
-    p.add_argument("--kind", choices=["graph", "interval", "setcover", "regular"],
-                   default="graph")
+    p.add_argument("--kind", choices=list(_GEN_KINDS), default="graph")
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--m", type=int, default=10)
     p.add_argument("--delta", type=int, default=3)

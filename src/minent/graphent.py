@@ -4,6 +4,7 @@ splitting identity, and the greedy-coloring-vs-entropy comparison."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -119,7 +120,9 @@ def graph_entropy(g: Graph, tol: float = 1e-6) -> tuple[float, EntropyWitness]:
         grad = -(inc @ (1.0 / p)) / (n * LN2)  # d value / d q_S, in bits
         fw = int(np.argmin(grad))
         gap = float(grad @ q - grad[fw])
-        if gap <= tol:
+        # grad @ q sums k terms of magnitude at most |grad[fw]| (every entry
+        # is negative), so a gap below k·eps·|grad[fw]| is rounding: stalled
+        if gap <= tol or gap <= k * sys.float_info.epsilon * -grad[fw]:
             break
         support = np.where(q > 1e-15)[0]
         away = int(support[np.argmax(grad[support])])

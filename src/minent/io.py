@@ -7,10 +7,11 @@ import csv
 import io as _io
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import compress, count, repeat
 
-from .core import Graph, IntervalSet, SetSystem, ValidationError
+from .core import BudgetError, Graph, IntervalSet, SetSystem, ValidationError
 from .apps import GenotypePanel, JointTable
 
 # Largest vertex count a graph header may declare: Graph allocates from it.
@@ -216,6 +217,13 @@ def parse_joint_table(text: str) -> JointTable:
 # seeded random generators
 
 
+def _pair(n: int, k: int) -> tuple[int, int]:
+    """The k-th pair (u, v), u < v, of range(n) in lexicographic order."""
+    r = n * (n - 1) // 2 - 1 - k  # index counted from the last pair, (n-2, n-1)
+    j = (math.isqrt(8 * r + 1) - 1) // 2  # rows from the last: u = n-2-j
+    return n - 2 - j, n - 1 - r + j * (j + 1) // 2
+
+
 def random_graph(n: int, m: int, seed: int = 0) -> Graph:
     """m of the n(n-1)/2 pairs, uniformly. random.sample picks positions from
     the population's length alone, so sampling the pairs' lexicographic
@@ -226,35 +234,37 @@ def random_graph(n: int, m: int, seed: int = 0) -> Graph:
     if not 0 <= m <= total:
         raise ValidationError("edge count must be in [0, n(n-1)/2]")
     rng = random.Random(seed)
-    edges = []
-    for k in rng.sample(range(total), m):
-        r = total - 1 - k  # index counted from the last pair, (n-2, n-1)
-        j = (math.isqrt(8 * r + 1) - 1) // 2  # rows from the last: u = n-2-j
-        edges.append((n - 2 - j, n - 1 - r + j * (j + 1) // 2))
-    return Graph(n, edges)
+    return Graph(n, [_pair(n, k) for k in rng.sample(range(total), m)])
 
 
 def random_connected_graph(n: int, m: int, seed: int = 0) -> Graph:
-    """Random tree plus extra random edges; m >= n-1 required."""
+    """Random tree plus m - (n-1) uniform pairs off it; m >= n-1 required.
+    The extra edges are drawn as ranks among the non-tree pairs in
+    lexicographic order, so they are the ones sampling that list would draw:
+    with t_0 < t_1 < ... the tree's pair indices, rank j is pair index
+    j + #{i : t_i - i <= j}."""
     if m < n - 1 or m > n * (n - 1) // 2:
         raise ValidationError("edge count incompatible with connectivity")
     rng = random.Random(seed)
-    edges = set()
-    for v in range(1, n):
-        u = rng.randrange(v)
-        edges.add((u, v))
-    rest = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
-    edges.update(rng.sample(rest, m - len(edges)))
-    return Graph(n, sorted(edges))
+    tree = [(rng.randrange(v), v) for v in range(1, n)]
+    ids = sorted(u * (2 * n - u - 1) // 2 + v - u - 1 for u, v in tree)
+    skip = [t - i for i, t in enumerate(ids)]
+    ranks = rng.sample(range(n * (n - 1) // 2 - len(tree)), m - len(tree))
+    return Graph(n, sorted(tree + [_pair(n, j + bisect_right(skip, j)) for j in ranks]))
 
 
 def random_regular_graph(n: int, d: int, seed: int = 0) -> Graph:
     """Pairing-model d-regular graph, rejecting pairings with loops or
-    repeated edges."""
+    repeated edges. A pairing is simple with probability about
+    exp(-(d^2-1)/4) (Bender & Canfield 1978), so a degree whose expected
+    number of tries exceeds MAX_TRIES (d >= 7) is refused before any."""
     if n > MAX_GRAPH_VERTICES:
         raise ValidationError(f"more than {MAX_GRAPH_VERTICES} vertices")
     if n * d % 2 != 0 or d >= n:
         raise ValidationError("need n*d even and d < n")
+    if d > 0 and (d * d - 1) / 4 > math.log(MAX_TRIES):
+        raise BudgetError(f"a random {d}-regular pairing is simple with probability "
+                          f"about exp(-(d^2-1)/4), below 1/{MAX_TRIES}")
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(d)]
     for _ in range(MAX_TRIES):
@@ -314,15 +324,3 @@ def random_bipartite_graph(n: int, seed: int = 0) -> Graph:
              if rng.random() < 0.5]
     return Graph(n, edges)
 
-
-def gen_random(kind: str, seed: int = 0, **params):
-    """Dispatch for the CLI `gen random` command."""
-    if kind == "graph":
-        return random_graph(params["n"], params["m"], seed)
-    if kind == "regular":
-        return random_regular_graph(params["n"], params["delta"], seed)
-    if kind == "interval":
-        return random_intervals(params["n"], seed)
-    if kind == "setcover":
-        return random_setcover(params["n"], params["k"], seed)
-    raise ValidationError(f"unknown instance kind {kind!r}")

@@ -12,13 +12,13 @@ import pytest
 
 import minent
 from minent import apps
-from minent.cli import main
-from minent.core import Graph, IntervalSet, SetSystem
-from minent.io import (MAX_GRAPH_VERTICES, ParseError, gen_random, parse_graph,
+from minent.cli import _GEN_KINDS, main
+from minent.core import BudgetError, Graph, IntervalSet, SetSystem
+from minent.io import (MAX_GRAPH_VERTICES, ParseError, parse_graph,
                        parse_intervals, parse_joint_table, parse_setcover,
-                       random_graph, random_intervals, random_regular_graph,
-                       random_setcover, serialize_graph, serialize_intervals,
-                       serialize_setcover)
+                       random_connected_graph, random_graph, random_intervals,
+                       random_regular_graph, random_setcover, serialize_graph,
+                       serialize_intervals, serialize_setcover)
 
 WORKED_SC = "setcover 4 3\n0 1 2\n2 3\n3\n"
 
@@ -82,8 +82,7 @@ def test_parse_joint_table():
 
 
 def test_generators_deterministic():
-    assert gen_random("graph", seed=5, n=8, m=9, k=0, delta=0) == \
-        gen_random("graph", seed=5, n=8, m=9, k=0, delta=0)
+    assert random_graph(8, 9, seed=5) == random_graph(8, 9, seed=5)
     assert random_setcover(6, 3, seed=2).sets == random_setcover(6, 3, seed=2).sets
     assert random_intervals(5, seed=4) == random_intervals(5, seed=4)
 
@@ -92,6 +91,57 @@ def test_regular_generator():
     g = random_regular_graph(10, 3, seed=0)
     assert g.m == 15
     assert all(len(a) == 3 for a in g.adjacency)
+
+
+def test_regular_generator_refuses_hopeless_degree_before_shuffling():
+    # a pairing of degree 8 is simple with probability about 1.4e-7: the
+    # MAX_TRIES shuffles of 8,000 stubs took 39 s before failing
+    start = time.perf_counter()
+    with pytest.raises(BudgetError):
+        random_regular_graph(1000, 8)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_cli_gen_regular_hopeless_degree_exits_2(capsys):
+    argv = ["gen", "random", "--kind", "regular", "--n", "1000", "--delta", "8"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def _tree_plus_pair_list_graph(n, m, seed):
+    """The connected graph drawn by listing every pair off the random tree."""
+    rng = random.Random(seed)
+    edges = set()
+    for v in range(1, n):
+        edges.add((rng.randrange(v), v))
+    rest = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+    edges.update(rng.sample(rest, m - len(edges)))
+    return Graph(n, sorted(edges))
+
+
+def test_random_connected_graph_matches_pair_list_sampler():
+    for n in range(30):
+        total = n * (n - 1) // 2
+        for m in sorted({n - 1, n, total // 2, total}):
+            if not max(n - 1, 0) <= m <= total:
+                continue
+            for seed in range(4):
+                assert random_connected_graph(n, m, seed) == \
+                    _tree_plus_pair_list_graph(n, m, seed), (n, m, seed)
+
+
+def test_random_connected_graph_lists_no_pairs():
+    # listing the 4.5 million pairs peaked at about 415 MB
+    tracemalloc.start()
+    try:
+        g = random_connected_graph(3000, 3000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.m == 3000
+    assert peak < 10_000_000
 
 
 def test_interval_generator_feeds_pipeline():
@@ -466,15 +516,20 @@ def test_cli_failed_bound_exits_1(tmp_path, capsys):
     assert json.loads(out)["checks"]["greedy_bound"] is False
 
 
-@pytest.mark.parametrize("kind, parse", [
-    ("graph", parse_graph), ("regular", parse_graph),
-    ("interval", parse_intervals), ("setcover", parse_setcover),
-])
+GEN_PARSERS = {"graph": parse_graph, "interval": parse_intervals,
+               "setcover": parse_setcover, "regular": parse_graph}
+
+
+# over the CLI's own kind table: a kind with no parser here fails
+@pytest.mark.parametrize("kind, parse", [(k, GEN_PARSERS.get(k)) for k in _GEN_KINDS])
 def test_cli_gen_random_parses_back(capsys, kind, parse):
     argv = ["--kind", kind, "--n", "8", "--m", "10", "--k", "4", "--delta", "3", "--seed", "2"]
     assert main(["gen", "random"] + argv) == 0
     out = capsys.readouterr().out
-    assert parse(out) == gen_random(kind, seed=2, n=8, m=10, k=4, delta=3)
+    draws = {"graph": random_graph(8, 10, seed=2), "interval": random_intervals(8, seed=2),
+             "setcover": random_setcover(8, 4, seed=2),
+             "regular": random_regular_graph(8, 3, seed=2)}
+    assert parse(out) == draws[kind]
 
 
 def test_cli_weighted_coloring_objective(tmp_path, capsys):

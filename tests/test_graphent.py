@@ -82,6 +82,14 @@ def test_graph_entropy_stall_raises_with_value_and_gap():
     assert err.value.gap > 1e-300
 
 
+def test_graph_entropy_stalls_at_the_gap_rounding_floor(monkeypatch):
+    # the gap stops falling at about 2e-15, under its rounding floor
+    # k·eps·|grad[fw]|; without the floor this ran all 200,000 steps (178 s)
+    monkeypatch.setattr(graphent, "MAX_FW_STEPS", 2000)
+    with pytest.raises(ConvergenceError, match="graph entropy solver stalled"):
+        graph_entropy(random_graph(9, 12, seed=2), tol=1e-300)
+
+
 def test_cli_graphent_stall_exits_2(tmp_path, capsys):
     f = tmp_path / "g.g"
     f.write_text("graph 4 4\n1 2\n2 3\n0 1\n0 2\n")
