@@ -10,9 +10,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import (BudgetError, FeasibilityError, Graph, IntervalSet,
-                   ValidationError, _xlog2x, entropy_of_counts, max_point_depth,
-                   xlog2x_table)
+from .core import (MAX_GRAPH_VERTICES, BudgetError, FeasibilityError, Graph,
+                   IntervalSet, ValidationError, _xlog2x, entropy_of_counts,
+                   max_point_depth)
 
 COLORING_CAP = 15  # most vertices exact_coloring searches; J_5 has 15
 
@@ -166,19 +166,17 @@ def greedy_coloring(g: Graph, oracle: str = "exact") -> Coloring:
     return Coloring(colors)
 
 
-class _XLog2X:
-    """x * log2(x) by subscript: the weighted search reads its real class
-    masses through this the way the unweighted one indexes xlog2x_table."""
-
-    __getitem__ = staticmethod(_xlog2x)
-
-
 def exact_coloring(g: Graph) -> Coloring:
     """Minimum-entropy proper coloring by canonical set-partition search with
     dominance-envelope pruning; returns the lexicographically smallest
     optimal canonical color vector. The objective is coloring_entropy's: a
     class weighs its vertices' weights on a weighted graph, 1 per vertex
-    otherwise."""
+    otherwise.
+
+    The search carries S = sum of f(m), f(x) = x log2 x, over the class
+    masses m, as setcover.exact_cover does: H = log2(total) - S/total.
+    Every completion is dominated by pouring all remaining mass into the
+    largest class, so that completion's entropy bounds the subtree."""
     n = g.n
     if n > COLORING_CAP:
         raise BudgetError(f"exact coloring oracle limited to {COLORING_CAP} vertices")
@@ -187,13 +185,11 @@ def exact_coloring(g: Graph) -> Coloring:
     adj = g.adjacency_masks()
 
     mass = g.weights or [1] * n
-    xlog = _XLog2X() if g.weights else xlog2x_table(n)  # a table for integer masses
     rest = [0] * (n + 1)  # rest[v]: the mass of vertices v..n-1
     for v in range(n - 1, -1, -1):
         rest[v] = rest[v + 1] + mass[v]
-    # H = log2(total) - S/total, S = sum of m*log2(m) over class masses, as in
-    # coloring_entropy: with total = 1, weights summing to 1 only within
-    # WEIGHT_TOL would put every coloring above the seed's 1e-9 slack.
+    # With total = 1, weights summing to 1 only within WEIGHT_TOL would put
+    # every coloring above the seed's 1e-9 slack; so divide by the total.
     total = rest[0]
     log2_total = math.log2(total)
 
@@ -207,43 +203,37 @@ def exact_coloring(g: Graph) -> Coloring:
     masses: list[float] = []
     colors = [0] * n
 
-    def envelope(v: int) -> float:
-        # Every completion is dominated by "pour all remaining vertices into
-        # the largest class", so its entropy is a valid lower bound.
-        if not masses:
-            return 0.0
-        cmax = max(masses)
-        acc = xlog[cmax + rest[v]] - xlog[cmax]
-        acc += sum(xlog[c] for c in masses)
-        return log2_total - acc / total
-
-    def recurse(v: int) -> None:
+    def recurse(v: int, acc: float) -> None:
+        # acc is S over the current class masses; v..n-1 are still uncolored.
         nonlocal best_h, best_colors
         if v == n:
-            h = log2_total - sum(xlog[c] for c in masses) / total
+            h = log2_total - acc / total
             if h < best_h - 1e-12:
                 best_h = h
                 best_colors = tuple(colors)
             return
-        if envelope(v) >= best_h - 1e-12:
+        cmax = max(masses, default=0)
+        gain = _xlog2x(cmax + rest[v]) - _xlog2x(cmax)
+        if log2_total - (acc + gain) / total >= best_h - 1e-12:
             return
+        m = mass[v]
         for i in range(len(class_masks)):
             if not (class_masks[i] & adj[v]):
                 before = masses[i]
                 class_masks[i] |= 1 << v
-                masses[i] = before + mass[v]
+                masses[i] = before + m
                 colors[v] = i + 1
-                recurse(v + 1)
+                recurse(v + 1, acc + _xlog2x(before + m) - _xlog2x(before))
                 class_masks[i] &= ~(1 << v)
                 masses[i] = before
         class_masks.append(1 << v)
-        masses.append(mass[v])
+        masses.append(m)
         colors[v] = len(class_masks)
-        recurse(v + 1)
+        recurse(v + 1, acc + _xlog2x(m))
         class_masks.pop()
         masses.pop()
 
-    recurse(0)
+    recurse(0, 0.0)
     assert best_colors is not None
     return Coloring(best_colors)
 
@@ -254,6 +244,8 @@ def gen_jk(k: int) -> IntervalSet:
     jk_rows(k)."""
     if k < 1:
         raise ValidationError("k must be >= 1")
+    if k * (k + 1) // 2 > MAX_GRAPH_VERTICES:  # an intervals file is a graph input
+        raise ValidationError(f"J_{k} has more than {MAX_GRAPH_VERTICES} intervals")
     intervals = []
     for i in range(1, k + 1):
         for j in range(1, i + 1):

@@ -11,6 +11,8 @@ from typing import Optional, Sequence
 WEIGHT_TOL = 1e-9
 WORK_BUDGET = 10 ** 7  # most exact-oracle assignments or estimator samples
 LOG2_E = math.log2(math.e)  # the greedy guarantees' additive constant
+# Largest vertex count a graph header may declare: Graph allocates from it.
+MAX_GRAPH_VERTICES = 10 ** 6
 
 
 class ValidationError(ValueError):
@@ -27,12 +29,6 @@ class BudgetError(RuntimeError):
 
 def _xlog2x(x: float) -> float:
     return 0.0 if x == 0 else x * math.log2(x)
-
-
-def xlog2x_table(n: int) -> list[float]:
-    """[c * log2(c) for c in 0..n], with 0 log 0 := 0: the per-count term of
-    entropy_of_counts, tabulated for the exact oracles' searches."""
-    return [_xlog2x(c) for c in range(n + 1)]
 
 
 def _edge_error(n: int, edges: Sequence[tuple[int, int]]) -> ValidationError:
@@ -276,19 +272,20 @@ class IntervalSet:
         return len(self.intervals)
 
 
-def intervals_intersect(a: tuple[Fraction, Fraction],
-                        b: tuple[Fraction, Fraction]) -> bool:
-    """Open-interval intersection: touching endpoints do NOT intersect."""
-    return max(a[0], b[0]) < min(a[1], b[1])
-
-
 def interval_graph(iv: IntervalSet) -> Graph:
-    """Intersection graph of an interval set (open-interval convention)."""
+    """Intersection graph of an interval set (open-interval convention), in
+    one sweep: visited in left-endpoint order, the intervals still open at a
+    start (touching endpoints do not overlap) are its earlier-starting
+    neighbors. The edges are sorted, as an all-pairs loop would list them."""
     ivs = iv.intervals
-    n = len(ivs)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if intervals_intersect(ivs[i], ivs[j])]
-    return Graph(n, edges)
+    edges = []
+    open_: list[int] = []
+    for v in sorted(range(len(ivs)), key=lambda u: ivs[u][0]):
+        lo = ivs[v][0]
+        open_ = [u for u in open_ if ivs[u][1] > lo]
+        edges += [(u, v) if u < v else (v, u) for u in open_]
+        open_.append(v)
+    return Graph(len(ivs), sorted(edges))
 
 
 def max_point_depth(intervals: Sequence[tuple[Fraction, Fraction]]) -> int:

@@ -11,11 +11,10 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import compress, count, repeat
 
-from .core import BudgetError, Graph, IntervalSet, SetSystem, ValidationError
+from .core import (MAX_GRAPH_VERTICES, BudgetError, Graph, IntervalSet, SetSystem,
+                   ValidationError)
 from .apps import GenotypePanel, JointTable
 
-# Largest vertex count a graph header may declare: Graph allocates from it.
-MAX_GRAPH_VERTICES = 10 ** 6
 MAX_TRIES = 10_000  # draws a rejection-sampling generator makes before giving up
 
 
@@ -260,8 +259,8 @@ def random_regular_graph(n: int, d: int, seed: int = 0) -> Graph:
     number of tries exceeds MAX_TRIES (d >= 7) is refused before any."""
     if n > MAX_GRAPH_VERTICES:
         raise ValidationError(f"more than {MAX_GRAPH_VERTICES} vertices")
-    if n * d % 2 != 0 or d >= n:
-        raise ValidationError("need n*d even and d < n")
+    if n * d % 2 != 0 or not 0 <= d < n:
+        raise ValidationError("need n*d even and 0 <= d < n")
     if d > 0 and (d * d - 1) / 4 > math.log(MAX_TRIES):
         raise BudgetError(f"a random {d}-regular pairing is simple with probability "
                           f"about exp(-(d^2-1)/4), below 1/{MAX_TRIES}")
@@ -300,9 +299,16 @@ def random_intervals(n: int, seed: int = 0) -> IntervalSet:
 
 def random_setcover(n: int, k: int, seed: int = 0) -> SetSystem:
     """k uniformly random nonempty subsets of [0, n); resampled until every
-    element is covered."""
+    element is covered. An element misses all k sets with probability about
+    2^-k, so a draw covers with probability about (1 - 2^-k)^n, and sizes
+    whose expected number of draws exceeds MAX_TRIES are refused before any."""
     if n < 1:
         raise ValidationError("universe must be nonempty")
+    if k < 1:
+        raise ValidationError("need at least one set")
+    if n * -math.log1p(-2.0 ** -k) > math.log(MAX_TRIES):
+        raise BudgetError(f"covering {n} elements with k = {k} random sets succeeds "
+                          f"with probability about (1-2^-k)^n, below 1/{MAX_TRIES}")
     rng = random.Random(seed)
     for _ in range(MAX_TRIES):
         sets = []

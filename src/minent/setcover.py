@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heapreplace
 
 from .core import (WORK_BUDGET, BudgetError, FeasibilityError, SetSystem,
-                   ValidationError, entropy_of_counts, xlog2x_table)
+                   ValidationError, _xlog2x, entropy_of_counts)
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ def exact_cover(s: SetSystem) -> CoverAssignment:
             raise BudgetError(
                 f"instance too large for oracle: >{WORK_BUDGET} assignment combinations")
 
-    xlog = xlog2x_table(n)
+    xlog = [_xlog2x(c) for c in range(n + 1)]
     log2n = math.log2(n)
     counts = [0] * s.k
     for c in choices:

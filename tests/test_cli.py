@@ -13,7 +13,7 @@ import pytest
 import minent
 from minent import apps
 from minent.cli import _GEN_KINDS, main
-from minent.core import BudgetError, Graph, IntervalSet, SetSystem
+from minent.core import BudgetError, Graph, IntervalSet, SetSystem, ValidationError
 from minent.io import (MAX_GRAPH_VERTICES, ParseError, parse_graph,
                        parse_intervals, parse_joint_table, parse_setcover,
                        random_connected_graph, random_graph, random_intervals,
@@ -106,6 +106,39 @@ def test_cli_gen_regular_hopeless_degree_exits_2(capsys):
     argv = ["gen", "random", "--kind", "regular", "--n", "1000", "--delta", "8"]
     assert main(argv) == 2
     err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_regular_generator_refuses_negative_degree():
+    with pytest.raises(ValidationError):
+        random_regular_graph(10, -1)
+
+
+def test_setcover_generator_refuses_hopeless_sizes_before_drawing():
+    # a draw covers 3000 elements with 5 sets with probability about
+    # (1 - 2^-5)^3000 = 6e-42: the MAX_TRIES redraws took about 20 s
+    start = time.perf_counter()
+    with pytest.raises(BudgetError):
+        random_setcover(3000, 5)
+    assert time.perf_counter() - start < 1.0
+    for k in (0, -1):
+        with pytest.raises(ValidationError):
+            random_setcover(5, k)
+
+
+@pytest.mark.parametrize("argv", [
+    ["random", "--kind", "regular", "--n", "10", "--delta", "-1"],
+    ["random", "--kind", "setcover", "--n", "3000", "--k", "5"],
+    ["random", "--kind", "setcover", "--n", "5", "--k", "0"],
+    ["jk", "--k", "1414"],
+], ids=["regular-negative-degree", "setcover-hopeless", "setcover-no-sets", "jk-above-cap"])
+def test_cli_gen_refusal_exits_2_at_once(capsys, argv):
+    start = time.perf_counter()
+    assert main(["gen"] + argv) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
 

@@ -9,8 +9,8 @@ from minent.coloring import (Coloring, _two_color_layer, approx_mis,
                              coloring_entropy, exact_coloring, exact_mis, gen_jk,
                              greedy_coloring, interval_mec, jk_rows)
 from minent.core import (LOG2_E, BudgetError, FeasibilityError, Graph, IntervalSet,
-                         counts_to_distribution, dominates, interval_graph,
-                         intervals_intersect, max_point_depth)
+                         _xlog2x, counts_to_distribution, dominates, interval_graph,
+                         max_point_depth)
 from minent.io import random_bipartite_graph, random_intervals
 
 P3 = Graph(3, [(0, 1), (1, 2)])
@@ -309,6 +309,77 @@ def test_exact_coloring_matches_brute_force_with_weights():
             assert exact_coloring(h).colors == _first_optimal_coloring(h), (h.edges, h.weights)
 
 
+def _resumming_exact_coloring(g):
+    """The exact search as it was before it carried its objective: class
+    masses are read through a table (integers) or x*log2(x) (weights), and
+    every node re-sums them, in the leaf's entropy and in the envelope bound."""
+    n = g.n
+    adj = g.adjacency_masks()
+    mass = g.weights or [1] * n
+    table = [_xlog2x(c) for c in range(n + 1)]
+    f = _xlog2x if g.weights else table.__getitem__
+    rest = [0] * (n + 1)
+    for v in range(n - 1, -1, -1):
+        rest[v] = rest[v + 1] + mass[v]
+    total = rest[0]
+    log2_total = math.log2(total)
+    best_h = coloring_entropy(g, greedy_coloring(g)) + 1e-9
+    best = None
+    class_masks, masses, colors = [], [], [0] * n
+
+    def envelope(v):
+        if not masses:
+            return 0.0
+        cmax = max(masses)
+        acc = f(cmax + rest[v]) - f(cmax)
+        acc += sum(f(c) for c in masses)
+        return log2_total - acc / total
+
+    def recurse(v):
+        nonlocal best_h, best
+        if v == n:
+            h = log2_total - sum(f(c) for c in masses) / total
+            if h < best_h - 1e-12:
+                best_h, best = h, tuple(colors)
+            return
+        if envelope(v) >= best_h - 1e-12:
+            return
+        for i in range(len(class_masks)):
+            if not (class_masks[i] & adj[v]):
+                before = masses[i]
+                class_masks[i] |= 1 << v
+                masses[i] = before + mass[v]
+                colors[v] = i + 1
+                recurse(v + 1)
+                class_masks[i] &= ~(1 << v)
+                masses[i] = before
+        class_masks.append(1 << v)
+        masses.append(mass[v])
+        colors[v] = len(class_masks)
+        recurse(v + 1)
+        class_masks.pop()
+        masses.pop()
+
+    recurse(0)
+    return best
+
+
+def test_exact_coloring_matches_resumming_search_tie_for_tie():
+    from minent.io import random_graph
+    graphs = [interval_graph(gen_jk(5))]
+    for n in range(1, 15):
+        for m in sorted({0, n, 3 * n // 2, 2 * n, n * (n - 1) // 4}):
+            if m <= n * (n - 1) // 2:
+                graphs.append(random_graph(n, m, seed=n * m))
+    for g in graphs:
+        rng = random.Random(g.n * 31 + g.m)
+        n = g.n
+        for h in (g, Graph(n, g.edges, _normalized([rng.random() for _ in range(n)])),
+                  Graph(n, g.edges, [1 / n] * n)):
+            assert exact_coloring(h).colors == _resumming_exact_coloring(h), (h.edges,
+                                                                              h.weights)
+
+
 def test_exact_coloring_weights_off_one_within_tolerance():
     # Weights summing to 1 +- 0.9e-9 pass Graph's check; the search must
     # still find a coloring at or below its greedy seed.
@@ -433,7 +504,8 @@ def _bfs_two_color_layer(iv, layer, sorted_pos, even, odd, colors):
     larger side takes `even`, a tie the side of the component's earliest
     interval in sorted order."""
     ivs = iv.intervals
-    adj = {v: [u for u in layer if u != v and intervals_intersect(ivs[u], ivs[v])]
+    adj = {v: [u for u in layer
+               if u != v and max(ivs[u][0], ivs[v][0]) < min(ivs[u][1], ivs[v][1])]
            for v in layer}
     side = {}
     for root in layer:

@@ -146,6 +146,28 @@ def test_interval_graph_open_convention():
     assert interval_graph(IntervalSet([(0, 1)])).m == 0
 
 
+def _all_pairs_interval_graph(iv):
+    """The intersection graph by testing every pair of open intervals."""
+    ivs = iv.intervals
+    return Graph(len(ivs), [(i, j) for i in range(len(ivs)) for j in range(i + 1, len(ivs))
+                            if max(ivs[i][0], ivs[j][0]) < min(ivs[i][1], ivs[j][1])])
+
+
+def test_interval_graph_sweep_matches_all_pairs():
+    from minent.coloring import gen_jk
+    from minent.io import random_intervals
+    sets = [gen_jk(k) for k in range(1, 13)]
+    sets += [random_intervals(n, seed) for n in range(40) for seed in range(3)]
+    rng = random.Random(5)
+    for _ in range(60):  # a 4-step grid: many touching and equal endpoints
+        ends = [sorted(rng.sample(range(5), 2)) for _ in range(rng.randrange(1, 15))]
+        sets.append(IntervalSet(ends))
+    for iv in sets:
+        g = interval_graph(iv)
+        assert g == _all_pairs_interval_graph(iv), iv.intervals
+        assert list(g.edges) == sorted(g.edges)
+
+
 def test_interval_set_validation():
     with pytest.raises(ValidationError):
         IntervalSet([(1, 1)])
