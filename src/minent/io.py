@@ -11,8 +11,8 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import compress, count, repeat
 
-from .core import (MAX_GRAPH_VERTICES, BudgetError, Graph, IntervalSet, SetSystem,
-                   ValidationError)
+from .core import (MAX_GRAPH_VERTICES, WORK_BUDGET, BudgetError, Graph, IntervalSet,
+                   SetSystem, ValidationError)
 from .apps import GenotypePanel, JointTable
 
 MAX_TRIES = 10_000  # draws a rejection-sampling generator makes before giving up
@@ -301,11 +301,14 @@ def random_setcover(n: int, k: int, seed: int = 0) -> SetSystem:
     """k uniformly random nonempty subsets of [0, n); resampled until every
     element is covered. An element misses all k sets with probability about
     2^-k, so a draw covers with probability about (1 - 2^-k)^n, and sizes
-    whose expected number of draws exceeds MAX_TRIES are refused before any."""
+    whose expected number of draws exceeds MAX_TRIES are refused before any.
+    A draw flips n·k coins, so n·k above WORK_BUDGET is refused too."""
     if n < 1:
         raise ValidationError("universe must be nonempty")
     if k < 1:
         raise ValidationError("need at least one set")
+    if n * k > WORK_BUDGET:
+        raise BudgetError(f"n*k = {n * k} membership draws exceed the budget {WORK_BUDGET}")
     if n * -math.log1p(-2.0 ** -k) > math.log(MAX_TRIES):
         raise BudgetError(f"covering {n} elements with k = {k} random sets succeeds "
                           f"with probability about (1-2^-k)^n, below 1/{MAX_TRIES}")

@@ -121,6 +121,10 @@ def test_setcover_generator_refuses_hopeless_sizes_before_drawing():
     start = time.perf_counter()
     with pytest.raises(BudgetError):
         random_setcover(3000, 5)
+    # covering is near certain here, but a draw would flip n·k = 10,001,000
+    # coins, above WORK_BUDGET = 10^7
+    with pytest.raises(BudgetError, match="budget"):
+        random_setcover(10_001, 1000)
     assert time.perf_counter() - start < 1.0
     for k in (0, -1):
         with pytest.raises(ValidationError):
@@ -131,8 +135,10 @@ def test_setcover_generator_refuses_hopeless_sizes_before_drawing():
     ["random", "--kind", "regular", "--n", "10", "--delta", "-1"],
     ["random", "--kind", "setcover", "--n", "3000", "--k", "5"],
     ["random", "--kind", "setcover", "--n", "5", "--k", "0"],
+    ["random", "--kind", "setcover", "--n", "1000000", "--k", "10000"],
     ["jk", "--k", "1414"],
-], ids=["regular-negative-degree", "setcover-hopeless", "setcover-no-sets", "jk-above-cap"])
+], ids=["regular-negative-degree", "setcover-hopeless", "setcover-no-sets",
+        "setcover-over-budget", "jk-above-cap"])
 def test_cli_gen_refusal_exits_2_at_once(capsys, argv):
     start = time.perf_counter()
     assert main(["gen"] + argv) == 2

@@ -20,6 +20,10 @@ def complete(n):
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
+def matching(pairs):
+    return Graph(2 * pairs, [(2 * i, 2 * i + 1) for i in range(pairs)])
+
+
 def test_enumerate_mis():
     assert enumerate_maximal_independent_sets(complete(3)) == [(0,), (1,), (2,)]
     assert enumerate_maximal_independent_sets(Graph(3, [(0, 1), (1, 2)])) == [(0, 2), (1,)]
@@ -45,6 +49,37 @@ def test_enumerate_mis_budget(monkeypatch):
     monkeypatch.setattr(graphent, "MIS_LIMIT", 3)
     with pytest.raises(BudgetError):
         enumerate_maximal_independent_sets(complete(8))
+    # refused past the same count: a perfect matching on 12 vertices has
+    # 2^6 = 64 maximal independent sets
+    monkeypatch.setattr(graphent, "MIS_LIMIT", 64)
+    assert len(enumerate_maximal_independent_sets(matching(6))) == 64
+    monkeypatch.setattr(graphent, "MIS_LIMIT", 63)
+    with pytest.raises(BudgetError, match="more than 63 maximal independent sets"):
+        enumerate_maximal_independent_sets(matching(6))
+
+
+def _brute_force_mis(g):
+    """Every maximal independent set, by testing all 2^n vertex subsets."""
+    adj = g.adjacency_masks()
+    out = []
+    for mask in range(1 << g.n):
+        members = [v for v in range(g.n) if mask >> v & 1]
+        if any(adj[v] & mask for v in members):
+            continue
+        if all(adj[v] & mask for v in range(g.n) if not mask >> v & 1):
+            out.append(tuple(members))
+    return sorted(out)
+
+
+def test_enumerate_mis_matches_brute_force():
+    graphs = [Graph(n, []) for n in (1, 5, 12)] + [complete(n) for n in (1, 2, 7, 12)]
+    graphs += [matching(pairs) for pairs in (1, 3, 6)]
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randrange(1, 13)
+        graphs.append(random_graph(n, rng.randrange(n * (n - 1) // 2 + 1), seed=seed))
+    for g in graphs:
+        assert enumerate_maximal_independent_sets(g) == _brute_force_mis(g)
 
 
 # The path 0-1-2: its uniform start over the maximal sets {0, 2} and {1} is
@@ -97,6 +132,92 @@ def test_cli_graphent_stall_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: graph entropy solver stalled")
     assert "Traceback" not in err
+
+
+def _dense_graph_entropy(g, tol=1e-6):
+    """The Frank-Wolfe loop with its line search evaluated over all n
+    vertices in numpy: the arithmetic graph_entropy did before the line
+    search was restricted to the two sets' difference. Returns (H, q, p,
+    the number of steps that bisected)."""
+    import numpy as np
+    n = g.n
+    sets = enumerate_maximal_independent_sets(g)
+    k = len(sets)
+    inc = np.zeros((k, n))
+    for i, s in enumerate(sets):
+        inc[i, list(s)] = 1.0
+    q = np.full(k, 1.0 / k)
+    p = inc.T @ q
+
+    def line_search(d_p, gamma_max):
+        def deriv(gma):
+            pv = p + gma * d_p
+            if pv.min() <= 0:
+                return math.inf
+            return -float(np.add.reduce(d_p / pv))
+
+        if deriv(gamma_max) <= 0:
+            return gamma_max
+        lo, hi = 0.0, gamma_max
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if deriv(mid) <= 0:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    bisecting = 0
+    for _ in range(graphent.MAX_FW_STEPS):
+        grad = -(inc @ (1.0 / p)) / (n * graphent.LN2)
+        fw = int(np.argmin(grad))
+        gap = float(grad @ q - grad[fw])
+        if gap <= tol or gap <= k * sys.float_info.epsilon * -grad[fw]:
+            break
+        support = np.where(q > 1e-15)[0]
+        away = int(support[np.argmax(grad[support])])
+        if away == fw:
+            break
+        gamma_max = float(q[away])
+        gamma = line_search(inc[fw] - inc[away], gamma_max)
+        bisecting += gamma < gamma_max
+        if gamma <= 0:
+            break
+        q[fw] += gamma
+        q[away] -= gamma
+        if q[away] < 1e-15:
+            q[away] = 0.0
+        p = inc.T @ q
+    return float(-np.log2(p).sum() / n), q.tolist(), p.tolist(), bisecting
+
+
+def test_graph_entropy_matches_the_dense_line_search():
+    graphs = [random_graph(n, 3 * n // 2, seed=seed) for n in range(8, 25) for seed in range(3)]
+    graphs += [Graph(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(5, 13)]
+    bisecting = 0
+    for g in graphs:
+        h, w = graph_entropy(g)
+        h_ref, q_ref, p_ref, steps = _dense_graph_entropy(g)
+        bisecting += steps
+        assert [i for i, x in enumerate(w.q) if x > 1e-12] == \
+            [i for i, x in enumerate(q_ref) if x > 1e-12]
+        assert max(abs(a - b) for a, b in zip(w.p, p_ref)) <= 1e-9
+        assert h == pytest.approx(h_ref, abs=1e-9)
+    assert bisecting > 0
+
+
+def test_pairwise_sum_adds_as_numpy_sums():
+    import numpy as np
+    rng = random.Random(5)
+    for n in list(range(1, 40)) + [127, 128, 129, 136, 300, 1000, 5000]:
+        for _ in range(3):
+            vs = sorted(rng.sample(range(n), rng.randint(1, min(n, 12))))
+            terms = [(v, rng.uniform(1e-3, 1.0), rng.choice((1.0, -1.0))) for v in vs]
+            gma = rng.uniform(0.0, 1e-3)
+            d_p, p = np.zeros(n), np.ones(n)
+            for v, x, s in terms:
+                d_p[v], p[v] = s, x
+            assert graphent._pairwise_sum(terms, 0, n, gma) == float((d_p / (p + gma * d_p)).sum())
 
 
 def test_graph_entropy_complete():
