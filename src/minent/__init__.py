@@ -2,14 +2,12 @@
 graph coloring, and graph entropy, with exact desk-scale oracles that verify
 each additive approximation guarantee."""
 
-from .core import (BudgetError, Distribution, FeasibilityError, Graph,
-                   IntervalSet, SetSystem, ValidationError,
-                   counts_to_distribution, dominates, entropy, interval_graph)
+from .core import (BudgetError, FeasibilityError, Graph, IntervalSet, SetSystem,
+                   ValidationError, interval_graph)
 
 __all__ = [
-    "BudgetError", "Distribution", "FeasibilityError", "Graph", "IntervalSet",
-    "SetSystem", "ValidationError", "counts_to_distribution", "dominates",
-    "entropy", "interval_graph",
+    "BudgetError", "FeasibilityError", "Graph", "IntervalSet", "SetSystem",
+    "ValidationError", "interval_graph",
 ]
 
 __version__ = "0.1.0"

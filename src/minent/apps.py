@@ -8,7 +8,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .core import BudgetError, Graph, SetSystem, ValidationError
+from .core import WEIGHT_TOL, BudgetError, Graph, SetSystem, ValidationError
 from .coloring import Coloring, coloring_entropy
 
 HAPLOTYPE_CAP = 10 ** 5  # most distinct haplotypes haplotype_instance builds
@@ -53,7 +53,7 @@ class JointTable:
         if any(p < 0 for row in probs for p in row):
             raise ValidationError("negative probability entry")
         total = math.fsum(p for row in probs for p in row)
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > WEIGHT_TOL:
             raise ValidationError(f"table entries sum to {total}, not 1")
         object.__setattr__(self, "x_labels", x_labels)
         object.__setattr__(self, "y_labels", y_labels)

@@ -11,8 +11,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import (MAX_GRAPH_VERTICES, BudgetError, FeasibilityError, Graph,
-                   IntervalSet, ValidationError, _xlog2x, entropy_of_counts,
-                   max_point_depth)
+                   IntervalSet, ValidationError, _left_sweep, _xlog2x,
+                   entropy_of_counts, max_point_depth)
 
 COLORING_CAP = 15  # most vertices exact_coloring searches; J_5 has 15
 
@@ -44,9 +44,6 @@ class Coloring:
         for v, c in enumerate(self.colors):
             by_color.setdefault(c, []).append(v)
         return [by_color[c] for c in sorted(by_color)]
-
-    def class_counts(self) -> list[int]:
-        return [len(cls) for cls in self.classes()]
 
 
 @dataclass(frozen=True)
@@ -239,9 +236,8 @@ def exact_coloring(g: Graph) -> Coloring:
 
 
 def gen_jk(k: int) -> IntervalSet:
-    """The J_k gadget: open intervals ((j-1)/i, j/i) for 1 <= j <= i <= k.
-    Row i (an independent set of size i) occupies positions given by
-    jk_rows(k)."""
+    """The J_k gadget: open intervals ((j-1)/i, j/i) for 1 <= j <= i <= k,
+    listed row by row; row i is an independent set of size i."""
     if k < 1:
         raise ValidationError("k must be >= 1")
     if k * (k + 1) // 2 > MAX_GRAPH_VERTICES:  # an intervals file is a graph input
@@ -253,31 +249,17 @@ def gen_jk(k: int) -> IntervalSet:
     return IntervalSet(intervals)
 
 
-def jk_rows(k: int) -> list[list[int]]:
-    """Vertex indices of each row of gen_jk(k), in row order 1..k."""
-    rows = []
-    idx = 0
-    for i in range(1, k + 1):
-        rows.append(list(range(idx, idx + i)))
-        idx += i
-    return rows
-
-
 def _two_color_layer(iv: IntervalSet, layer: list[int], even: int, odd: int,
                      colors: list[int]) -> None:
     """2-color the interval graph induced by a layer, per connected component;
     the larger side takes the even (lower) color, ties going to the side of
     the component's first interval in `layer` (interval_mec's sorted order).
 
-    One scan in left-endpoint order: the intervals still open at a start
-    (touching endpoints do not overlap) are its earlier neighbors. None
-    starts a component, one is on the other side, two make a triangle."""
-    ivs = iv.intervals
+    One _left_sweep: no open earlier neighbor starts a component, one is on
+    the other side, two make a triangle."""
     side: dict[int, int] = {}
     tally: dict[int, list[int]] = {}  # v -> its component's side sizes
-    open_: list[int] = []
-    for v in sorted(layer, key=lambda u: ivs[u][0]):
-        open_ = [u for u in open_ if ivs[u][1] > ivs[v][0]]
+    for v, open_ in _left_sweep(iv.intervals, layer):
         if len(open_) > 1:
             raise FeasibilityError("layer induces an odd cycle")
         if open_:
@@ -285,7 +267,6 @@ def _two_color_layer(iv: IntervalSet, layer: list[int], even: int, odd: int,
         else:
             side[v], tally[v] = 0, [0, 0]
         tally[v][side[v]] += 1
-        open_.append(v)
     for v in layer:
         t = tally[v]
         if len(t) == 2:  # v is its component's first interval: settle the even side

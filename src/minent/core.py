@@ -1,9 +1,9 @@
-"""Shared substrate: graphs, set systems, distributions, entropy, dominance."""
+"""Shared substrate: graphs, set systems, interval sets, entropy of counts."""
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -179,41 +179,6 @@ class SetSystem:
         return f"SetSystem(n={self.universe_size}, k={self.k})"
 
 
-@dataclass(frozen=True)
-class Distribution:
-    """Finite nonnegative vector summing to 1. Entries may be Fractions,
-    in which case comparisons (dominance) are exact."""
-
-    probs: tuple
-
-    def __init__(self, probs):
-        probs = tuple(probs)
-        if not probs:
-            raise ValidationError("empty distribution")
-        for p in probs:
-            if p < 0:
-                raise ValidationError(f"negative probability {p}")
-        total = sum(probs)
-        if isinstance(total, Fraction) or isinstance(total, int):
-            if total != 1:
-                raise ValidationError(f"probabilities sum to {total}, not 1")
-        elif abs(total - 1.0) > WEIGHT_TOL:
-            raise ValidationError(f"probabilities sum to {total}, not 1")
-        object.__setattr__(self, "probs", probs)
-
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(p, (Fraction, int)) for p in self.probs)
-
-    def __len__(self):
-        return len(self.probs)
-
-
-def entropy(d: Distribution) -> float:
-    """Shannon entropy in bits; 0*log 0 := 0."""
-    return -math.fsum(_xlog2x(float(p)) for p in d.probs)
-
-
 def entropy_of_counts(counts: Sequence[int]) -> float:
     """Entropy of the normalized count vector, computed as
     log2(total) - (1/total) * sum c*log2(c)."""
@@ -221,35 +186,6 @@ def entropy_of_counts(counts: Sequence[int]) -> float:
     if total <= 0:
         raise ValidationError("counts must have positive total")
     return math.log2(total) - math.fsum(_xlog2x(c) for c in counts if c) / total
-
-
-def counts_to_distribution(counts: Sequence[int]) -> Distribution:
-    """Normalize integer counts into an exact-rational distribution.
-
-    Zero counts are retained as zero entries."""
-    counts = list(counts)
-    if any(c < 0 for c in counts):
-        raise ValidationError("negative count")
-    total = sum(counts)
-    if total == 0:
-        raise ValidationError("all counts are zero")
-    return Distribution(Fraction(c, total) for c in counts)
-
-
-def dominates(r: Distribution, q: Distribution) -> bool:
-    """True iff q is dominated by r: every prefix sum of q is <= the
-    corresponding prefix sum of r. Exact when both sides are rational."""
-    exact = r.is_exact and q.is_exact
-    slack = 0 if exact else 1e-12
-    rp = list(r.probs) + [0] * max(0, len(q) - len(r))
-    qp = list(q.probs) + [0] * max(0, len(r) - len(q))
-    r_acc = q_acc = 0
-    for rv, qv in zip(rp, qp):
-        r_acc += rv
-        q_acc += qv
-        if q_acc > r_acc + slack:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -272,20 +208,37 @@ class IntervalSet:
         return len(self.intervals)
 
 
-def interval_graph(iv: IntervalSet) -> Graph:
-    """Intersection graph of an interval set (open-interval convention), in
-    one sweep: visited in left-endpoint order, the intervals still open at a
-    start (touching endpoints do not overlap) are its earlier-starting
-    neighbors. The edges are sorted, as an all-pairs loop would list them."""
-    ivs = iv.intervals
-    edges = []
+def _left_sweep(ivs: Sequence[tuple[Fraction, Fraction]], vertices: Sequence[int]):
+    """Yield (v, open) over `vertices` in left-endpoint order, ties in given
+    order: open lists the earlier-starting intervals still open at v's start
+    (touching endpoints do not overlap). v joins open after the yield."""
     open_: list[int] = []
-    for v in sorted(range(len(ivs)), key=lambda u: ivs[u][0]):
+    for v in sorted(vertices, key=lambda u: ivs[u][0]):
         lo = ivs[v][0]
         open_ = [u for u in open_ if ivs[u][1] > lo]
-        edges += [(u, v) if u < v else (v, u) for u in open_]
+        yield v, open_
         open_.append(v)
-    return Graph(len(ivs), sorted(edges))
+
+
+def _edge_count(ivs: Sequence[tuple[Fraction, Fraction]]) -> int:
+    """Edge count of the intervals' intersection graph: all pairs but those
+    with hi_u <= lo_v, which at most one order of a pair meets."""
+    his = sorted(hi for _, hi in ivs)
+    return len(ivs) * (len(ivs) - 1) // 2 - sum(bisect_right(his, lo) for lo, _ in ivs)
+
+
+def interval_graph(iv: IntervalSet) -> Graph:
+    """Intersection graph of an interval set (open-interval convention) from
+    one _left_sweep; the edges are sorted, as an all-pairs loop lists them.
+    When n(n-1)/2 exceeds WORK_BUDGET the edges are counted first, and more
+    than WORK_BUDGET of them raise BudgetError before any is listed."""
+    ivs = iv.intervals
+    n = len(ivs)
+    if n * (n - 1) // 2 > WORK_BUDGET and (m := _edge_count(ivs)) > WORK_BUDGET:
+        raise BudgetError(f"{n} intervals overlap in {m} pairs, above the budget {WORK_BUDGET}")
+    edges = [(u, v) if u < v else (v, u)
+             for v, open_ in _left_sweep(ivs, range(n)) for u in open_]
+    return Graph(n, sorted(edges))
 
 
 def max_point_depth(intervals: Sequence[tuple[Fraction, Fraction]]) -> int:

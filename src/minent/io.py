@@ -7,7 +7,6 @@ import csv
 import io as _io
 import math
 import random
-from bisect import bisect_right
 from fractions import Fraction
 from itertools import compress, count, repeat
 
@@ -236,22 +235,6 @@ def random_graph(n: int, m: int, seed: int = 0) -> Graph:
     return Graph(n, [_pair(n, k) for k in rng.sample(range(total), m)])
 
 
-def random_connected_graph(n: int, m: int, seed: int = 0) -> Graph:
-    """Random tree plus m - (n-1) uniform pairs off it; m >= n-1 required.
-    The extra edges are drawn as ranks among the non-tree pairs in
-    lexicographic order, so they are the ones sampling that list would draw:
-    with t_0 < t_1 < ... the tree's pair indices, rank j is pair index
-    j + #{i : t_i - i <= j}."""
-    if m < n - 1 or m > n * (n - 1) // 2:
-        raise ValidationError("edge count incompatible with connectivity")
-    rng = random.Random(seed)
-    tree = [(rng.randrange(v), v) for v in range(1, n)]
-    ids = sorted(u * (2 * n - u - 1) // 2 + v - u - 1 for u, v in tree)
-    skip = [t - i for i, t in enumerate(ids)]
-    ranks = rng.sample(range(n * (n - 1) // 2 - len(tree)), m - len(tree))
-    return Graph(n, sorted(tree + [_pair(n, j + bisect_right(skip, j)) for j in ranks]))
-
-
 def random_regular_graph(n: int, d: int, seed: int = 0) -> Graph:
     """Pairing-model d-regular graph, rejecting pairings with loops or
     repeated edges. A pairing is simple with probability about
@@ -287,6 +270,8 @@ def random_regular_graph(n: int, d: int, seed: int = 0) -> Graph:
 
 def random_intervals(n: int, seed: int = 0) -> IntervalSet:
     """Intervals with endpoints on the uniform grid of max(2n, 8) steps over [0, 1]."""
+    if not 0 <= n <= MAX_GRAPH_VERTICES:  # an intervals file is a graph input
+        raise ValidationError(f"interval count must be in [0, {MAX_GRAPH_VERTICES}]")
     rng = random.Random(seed)
     denom = max(2 * n, 8)
     ivs = []
@@ -323,13 +308,4 @@ def random_setcover(n: int, k: int, seed: int = 0) -> SetSystem:
         if set().union(*map(set, sets)) == set(range(n)):
             return SetSystem(n, sets)
     raise ValidationError("failed to generate a covering instance")
-
-
-def random_bipartite_graph(n: int, seed: int = 0) -> Graph:
-    """Two random sides, each cross pair an edge with probability 1/2."""
-    rng = random.Random(seed)
-    split = rng.randrange(1, n) if n > 1 else 1
-    edges = [(u, v) for u in range(split) for v in range(split, n)
-             if rng.random() < 0.5]
-    return Graph(n, edges)
 

@@ -1,0 +1,126 @@
+"""Test oracles: the survey's proof tools, which the tests check the solvers
+against and which no CLI path or solver runs.
+
+- Distributions with exact (Fraction) or float-with-tolerance arithmetic,
+  their entropy, and the dominance order of the survey's dominance lemma.
+- Criterion 2's and criterion 7a's graph families: random connected graphs
+  and random bipartite graphs.
+- The rows of the J_k interval gadget, and the class sizes of a colouring.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from bisect import bisect_right
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Sequence
+
+from minent.coloring import Coloring
+from minent.core import WEIGHT_TOL, Graph, ValidationError, _xlog2x
+from minent.io import _pair
+
+
+@dataclass(frozen=True)
+class Distribution:
+    """Finite nonnegative vector summing to 1. Entries may be Fractions,
+    in which case comparisons (dominance) are exact."""
+
+    probs: tuple
+
+    def __init__(self, probs):
+        probs = tuple(probs)
+        if not probs:
+            raise ValidationError("empty distribution")
+        for p in probs:
+            if p < 0:
+                raise ValidationError(f"negative probability {p}")
+        total = sum(probs)
+        if isinstance(total, Fraction) or isinstance(total, int):
+            if total != 1:
+                raise ValidationError(f"probabilities sum to {total}, not 1")
+        elif abs(total - 1.0) > WEIGHT_TOL:
+            raise ValidationError(f"probabilities sum to {total}, not 1")
+        object.__setattr__(self, "probs", probs)
+
+    @property
+    def is_exact(self) -> bool:
+        return all(isinstance(p, (Fraction, int)) for p in self.probs)
+
+    def __len__(self):
+        return len(self.probs)
+
+
+def entropy(d: Distribution) -> float:
+    """Shannon entropy in bits; 0*log 0 := 0."""
+    return -math.fsum(_xlog2x(float(p)) for p in d.probs)
+
+
+def counts_to_distribution(counts: Sequence[int]) -> Distribution:
+    """Normalize integer counts into an exact-rational distribution.
+
+    Zero counts are retained as zero entries."""
+    counts = list(counts)
+    if any(c < 0 for c in counts):
+        raise ValidationError("negative count")
+    total = sum(counts)
+    if total == 0:
+        raise ValidationError("all counts are zero")
+    return Distribution(Fraction(c, total) for c in counts)
+
+
+def dominates(r: Distribution, q: Distribution) -> bool:
+    """True iff q is dominated by r: every prefix sum of q is <= the
+    corresponding prefix sum of r. Exact when both sides are rational."""
+    exact = r.is_exact and q.is_exact
+    slack = 0 if exact else 1e-12
+    rp = list(r.probs) + [0] * max(0, len(q) - len(r))
+    qp = list(q.probs) + [0] * max(0, len(r) - len(q))
+    r_acc = q_acc = 0
+    for rv, qv in zip(rp, qp):
+        r_acc += rv
+        q_acc += qv
+        if q_acc > r_acc + slack:
+            return False
+    return True
+
+
+def random_connected_graph(n: int, m: int, seed: int = 0) -> Graph:
+    """Random tree plus m - (n-1) uniform pairs off it; m >= n-1 required.
+    The extra edges are drawn as ranks among the non-tree pairs in
+    lexicographic order, so they are the ones sampling that list would draw:
+    with t_0 < t_1 < ... the tree's pair indices, rank j is pair index
+    j + #{i : t_i - i <= j}."""
+    if m < n - 1 or m > n * (n - 1) // 2:
+        raise ValidationError("edge count incompatible with connectivity")
+    rng = random.Random(seed)
+    tree = [(rng.randrange(v), v) for v in range(1, n)]
+    ids = sorted(u * (2 * n - u - 1) // 2 + v - u - 1 for u, v in tree)
+    skip = [t - i for i, t in enumerate(ids)]
+    ranks = rng.sample(range(n * (n - 1) // 2 - len(tree)), m - len(tree))
+    return Graph(n, sorted(tree + [_pair(n, j + bisect_right(skip, j)) for j in ranks]))
+
+
+def random_bipartite_graph(n: int, seed: int = 0) -> Graph:
+    """Two random sides, each cross pair an edge with probability 1/2."""
+    rng = random.Random(seed)
+    split = rng.randrange(1, n) if n > 1 else 1
+    edges = [(u, v) for u in range(split) for v in range(split, n)
+             if rng.random() < 0.5]
+    return Graph(n, edges)
+
+
+def jk_rows(k: int) -> list[list[int]]:
+    """Vertex indices of each row of gen_jk(k), in row order 1..k."""
+    rows = []
+    idx = 0
+    for i in range(1, k + 1):
+        rows.append(list(range(idx, idx + i)))
+        idx += i
+    return rows
+
+
+def class_counts(c: Coloring) -> list[int]:
+    """The sizes of c's colour classes, in increasing colour order."""
+    return [len(cls) for cls in c.classes()]

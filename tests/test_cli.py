@@ -16,9 +16,10 @@ from minent.cli import _GEN_KINDS, main
 from minent.core import BudgetError, Graph, IntervalSet, SetSystem, ValidationError
 from minent.io import (MAX_GRAPH_VERTICES, ParseError, parse_graph,
                        parse_intervals, parse_joint_table, parse_setcover,
-                       random_connected_graph, random_graph, random_intervals,
+                       random_graph, random_intervals,
                        random_regular_graph, random_setcover, serialize_graph,
                        serialize_intervals, serialize_setcover)
+from oracles import random_connected_graph
 
 WORKED_SC = "setcover 4 3\n0 1 2\n2 3\n3\n"
 
@@ -137,8 +138,11 @@ def test_setcover_generator_refuses_hopeless_sizes_before_drawing():
     ["random", "--kind", "setcover", "--n", "5", "--k", "0"],
     ["random", "--kind", "setcover", "--n", "1000000", "--k", "10000"],
     ["jk", "--k", "1414"],
+    ["random", "--kind", "interval", "--n", "-3"],
+    ["random", "--kind", "interval", "--n", "2000000"],
 ], ids=["regular-negative-degree", "setcover-hopeless", "setcover-no-sets",
-        "setcover-over-budget", "jk-above-cap"])
+        "setcover-over-budget", "jk-above-cap", "interval-negative-count",
+        "interval-above-cap"])
 def test_cli_gen_refusal_exits_2_at_once(capsys, argv):
     start = time.perf_counter()
     assert main(["gen"] + argv) == 2
@@ -146,6 +150,20 @@ def test_cli_gen_refusal_exits_2_at_once(capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("action", [["orient", "biased"], ["color", "interval"]])
+def test_cli_intervals_over_edge_budget_exit_2_at_once(tmp_path, capsys, action):
+    # 5,000 copies of one interval: 12,497,500 overlapping pairs in a 40 KB file
+    f = tmp_path / "same.iv"
+    f.write_text("intervals 5000\n" + "0/1 1/1\n" * 5000)
+    start = time.perf_counter()
+    assert main(action + ["--input", str(f)]) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "budget" in err
     assert "Traceback" not in err
 
 

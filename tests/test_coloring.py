@@ -7,11 +7,12 @@ import pytest
 
 from minent.coloring import (Coloring, _two_color_layer, approx_mis,
                              coloring_entropy, exact_coloring, exact_mis, gen_jk,
-                             greedy_coloring, interval_mec, jk_rows)
+                             greedy_coloring, interval_mec)
 from minent.core import (LOG2_E, BudgetError, FeasibilityError, Graph, IntervalSet,
-                         _xlog2x, counts_to_distribution, dominates, interval_graph,
-                         max_point_depth)
-from minent.io import random_bipartite_graph, random_intervals
+                         _xlog2x, interval_graph, max_point_depth)
+from minent.io import random_intervals
+from oracles import (class_counts, counts_to_distribution, dominates, jk_rows,
+                     random_bipartite_graph)
 
 P3 = Graph(3, [(0, 1), (1, 2)])
 C5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -265,7 +266,7 @@ def test_exact_coloring_small():
     assert coloring_entropy(K3, exact_coloring(K3)) == pytest.approx(
         math.log2(3), abs=1e-12)
     c5 = exact_coloring(C5)
-    assert sorted(c5.class_counts(), reverse=True) == [2, 2, 1]
+    assert sorted(class_counts(c5), reverse=True) == [2, 2, 1]
     assert coloring_entropy(C5, c5) == pytest.approx(1.522, abs=1e-3)
 
 
@@ -429,7 +430,7 @@ def test_jk_exact_coloring_is_rowwise():
     for k in range(1, 5):
         g = interval_graph(gen_jk(k))
         c = exact_coloring(g)
-        assert sorted(c.class_counts(), reverse=True) == list(range(k, 0, -1))
+        assert sorted(class_counts(c), reverse=True) == list(range(k, 0, -1))
         for row in jk_rows(k):
             assert len({c.colors[v] for v in row}) == 1
 

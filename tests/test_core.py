@@ -4,10 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from minent.core import (Distribution, Graph, IntervalSet, SetSystem,
-                         ValidationError, counts_to_distribution, dominates,
-                         entropy, entropy_of_counts, interval_graph,
-                         max_point_depth)
+from minent.core import (Graph, IntervalSet, SetSystem, ValidationError, _edge_count,
+                         entropy_of_counts, interval_graph, max_point_depth)
+from oracles import Distribution, counts_to_distribution, dominates, entropy
 
 
 def test_entropy_worked_distribution():
@@ -166,6 +165,16 @@ def test_interval_graph_sweep_matches_all_pairs():
         g = interval_graph(iv)
         assert g == _all_pairs_interval_graph(iv), iv.intervals
         assert list(g.edges) == sorted(g.edges)
+
+
+def test_interval_edge_count_matches_interval_graph():
+    from minent.coloring import gen_jk
+    from minent.io import random_intervals
+    sets = [gen_jk(k) for k in (1, 5, 10, 12)]
+    sets += [random_intervals(n, seed) for n in (0, 1, 6, 100, 300) for seed in range(3)]
+    sets.append(IntervalSet([(0, 1)] * 50))
+    for iv in sets:
+        assert _edge_count(iv.intervals) == interval_graph(iv).m, iv.intervals
 
 
 def test_interval_set_validation():

@@ -10,7 +10,8 @@ from minent.cli import main
 from minent.core import BudgetError, Graph, ValidationError, entropy_of_counts, interval_graph
 from minent.graphent import (ConvergenceError, enumerate_maximal_independent_sets,
                              graph_entropy, greedy_vs_entropy, splitting_gap)
-from minent.io import random_bipartite_graph, random_graph, random_intervals
+from minent.io import random_graph, random_intervals
+from oracles import random_bipartite_graph
 
 C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 C5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])

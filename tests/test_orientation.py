@@ -6,7 +6,8 @@ import pytest
 
 from minent.core import (BudgetError, FeasibilityError, Graph, ValidationError,
                          entropy_of_counts)
-from minent.io import random_connected_graph, random_graph, random_regular_graph
+from minent.io import random_graph, random_regular_graph
+from oracles import random_connected_graph
 from minent.orientation import (Orientation, biased_orientation, estimate_entropy,
                                 exact_orientation, local_indegree,
                                 orientation_entropy, sample_count)
