@@ -107,29 +107,38 @@ def exact_mis(g: Graph, vertices: Optional[Sequence[int]] = None) -> tuple[int, 
     return tuple(vs[i] for i in best_set)
 
 
-def approx_mis(g: Graph, vertices: Optional[Sequence[int]] = None) -> tuple[int, ...]:
+def approx_mis(g: Graph, vertices: Optional[Sequence[int]] = None,
+               degree: Optional[Sequence[int]] = None) -> tuple[int, ...]:
     """Minimum-degree greedy independent set of the subgraph induced by
     `vertices` (default: all of g): repeatedly take a minimum-degree vertex
     of the residual graph (ties to the smallest index) and delete its closed
     neighborhood. (Delta+2)/3-approximate on max-degree-Delta graphs.
+    `degree`, when given, holds each of `vertices`' degree in the subgraph
+    they induce, so the caller that keeps it saves the count; it is read,
+    not changed.
 
     A lazy heap of (residual degree, vertex) entries serves the picks, in
     O((n + m) log n) (Matula & Beck's degree queue): degrees only fall, so an
     entry whose degree is above the vertex's current one is stale and
     skipped, and the first live entry popped is the minimum over the
-    residual graph."""
+    residual graph. A deletion that leaves no vertex ends the search without
+    lowering any degree."""
     adjacency = g.adjacency
     vs = range(g.n) if vertices is None else vertices
     alive = [False] * g.n
     for v in vs:
         alive[v] = True
-    degree = [0] * g.n
-    for v in vs:
-        degree[v] = sum(map(alive.__getitem__, adjacency[v]))
+    if degree is None:
+        degree = [0] * g.n
+        for v in vs:
+            degree[v] = sum(map(alive.__getitem__, adjacency[v]))
+    else:
+        degree = list(degree)
     heap = [(degree[v], v) for v in vs]
     heapq.heapify(heap)
+    left = len(heap)
     chosen = []
-    while heap:
+    while left:
         d, v = heapq.heappop(heap)
         if not alive[v] or d != degree[v]:
             continue
@@ -137,27 +146,40 @@ def approx_mis(g: Graph, vertices: Optional[Sequence[int]] = None) -> tuple[int,
         removed = [v] + [u for u in adjacency[v] if alive[u]]
         for u in removed:
             alive[u] = False
-        for u in removed:
-            for w in adjacency[u]:
-                if alive[w]:
-                    degree[w] -= 1
-                    heapq.heappush(heap, (degree[w], w))
+        left -= len(removed)
+        if left:
+            for u in removed:
+                for w in adjacency[u]:
+                    if alive[w]:
+                        degree[w] -= 1
+                        heapq.heappush(heap, (degree[w], w))
     return tuple(sorted(chosen))
 
 
 def greedy_coloring(g: Graph, oracle: str = "exact") -> Coloring:
     """Iteratively remove a maximum (or approximate-maximum) independent set
     of the uncolored vertices, assigning a new color to each removed set.
-    The exact oracle uses vertex weights when the graph is weighted."""
+    The exact oracle uses vertex weights when the graph is weighted. The
+    approximate oracle is given each uncolored vertex's count of uncolored
+    neighbors, kept over all classes in O(n + m): it is lowered as each
+    class leaves, not recounted per class."""
     if oracle not in ("exact", "approx"):
         raise ValidationError(f"unknown oracle {oracle!r}")
-    mis = exact_mis if oracle == "exact" else approx_mis
+    adjacency = g.adjacency
+    degree = list(map(len, adjacency)) if oracle == "approx" else None
     remaining = list(range(g.n))
     colors = [0] * g.n
     color = 0
     while remaining:
         color += 1
-        for v in mis(g, remaining):
+        if degree is None:
+            chosen = exact_mis(g, remaining)
+        else:
+            chosen = approx_mis(g, remaining, degree)
+            for v in chosen:
+                for w in adjacency[v]:
+                    degree[w] -= 1
+        for v in chosen:
             colors[v] = color
         remaining = [v for v in remaining if not colors[v]]
     return Coloring(colors)

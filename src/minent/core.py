@@ -138,30 +138,61 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-class SetSystem:
-    """A ground set {0..universe_size-1} plus a collection of subsets."""
+# Byte tables of SetSystem's digit row: a row byte is b"1" for a member of
+# the set being read, b"c" for an element an earlier set covered, else b"0".
+_DIGITS = bytes.maketrans(b"c", b"0")
+_COVERED = bytes.maketrans(b"1", b"c")
 
-    __slots__ = ("universe_size", "sets")
+
+class SetSystem:
+    """A ground set {0..universe_size-1} plus a collection of subsets.
+
+    Each set also carries the bitmask the greedy reads (element x is bit
+    n-1-x): masks[i] spans only set i's first to last member and shifts[i]
+    = n-1-last places it, so a few members far from element n-1 cost a few
+    bits, not n; an empty set has mask and shift 0. One walk over a set's
+    sorted members writes its digits into a row of n bytes, whose span
+    parses to the mask, and a mask with fewer bits than members means a
+    duplicate. The same row marks the covered elements, so all the checks
+    cost O(sum of set sizes + sum of mask spans)."""
+
+    __slots__ = ("universe_size", "sets", "masks", "shifts")
 
     def __init__(self, universe_size: int, sets: Sequence[Sequence[int]]):
         if universe_size < 1:
             raise ValidationError("universe must be nonempty")
-        covered = set()
-        norm = []
+        n = universe_size
+        row = bytearray(b"0") * n
+        norm, masks, shifts = [], [], []
         for idx, s in enumerate(sets):
             members = tuple(sorted(s))
-            if len(set(members)) != len(members):
-                raise ValidationError(f"set {idx} has duplicate members")
-            if members and not (0 <= members[0] and members[-1] < universe_size):
-                x = members[0] if members[0] < 0 else members[bisect_left(members, universe_size)]
-                raise ValidationError(f"set {idx}: element {x} out of range")
-            covered.update(members)
             norm.append(members)
-        if covered != set(range(universe_size)):
-            missing = sorted(set(range(universe_size)) - covered)
+            if not members:
+                masks.append(0)
+                shifts.append(0)
+                continue
+            lo, hi = members[0], members[-1]
+            if not (0 <= lo and hi < n):  # before row[x]: row[-1] is its last byte
+                if len(set(members)) != len(members):
+                    raise ValidationError(f"set {idx} has duplicate members")
+                x = lo if lo < 0 else members[bisect_left(members, n)]
+                raise ValidationError(f"set {idx}: element {x} out of range")
+            for x in members:
+                row[x] = 49  # ord("1")
+            span = row[lo:hi + 1]
+            mask = int(span.translate(_DIGITS), 2)
+            if mask.bit_count() != len(members):
+                raise ValidationError(f"set {idx} has duplicate members")
+            row[lo:hi + 1] = span.translate(_COVERED)
+            masks.append(mask)
+            shifts.append(n - 1 - hi)
+        if b"0" in row:
+            missing = [x for x, c in enumerate(row) if c == 48]  # ord("0")
             raise ValidationError(f"elements {missing} are not covered by any set")
         self.universe_size = universe_size
         self.sets = tuple(norm)
+        self.masks = tuple(masks)
+        self.shifts = tuple(shifts)
 
     @property
     def k(self) -> int:

@@ -71,28 +71,14 @@ def _greedy_rounds(s: SetSystem) -> list[tuple[int, list[int]]]:
     each round takes the set covering the most uncovered elements, ties to
     the lowest set index.
 
-    Each set is an int bitmask (element x is bit n-1-x) and so are the
-    uncovered elements, so a remainder's size is one AND and a bit count.
-    A set's mask is kept unshifted, spanning its first to its last member,
-    with its shift n-1-last: a few members far from element n-1 cost a few
-    bits, not n. Sizes are re-evaluated lazily (Minoux's accelerated
-    greedy): a heap holds (-size when last evaluated, index), sizes only
-    shrink, so an entry whose size is still current when it reaches the top
-    is the first largest."""
+    Each set is its SetSystem bitmask, masks[i] << shifts[i] in place
+    (element x is bit n-1-x), and so are the uncovered elements, so a
+    remainder's size is one AND and a bit count. Sizes are re-evaluated
+    lazily (Minoux's accelerated greedy): a heap holds (-size when last
+    evaluated, index), sizes only shrink, so an entry whose size is still
+    current when it reaches the top is the first largest."""
     n = s.universe_size
-    zeros = b"0" * n
-    masks = [0] * s.k
-    shifts = [0] * s.k
-    for i, members in enumerate(s.sets):
-        if members:
-            row = bytearray(zeros)  # row[x] is the binary digit of bit n-1-x
-            for x in members:
-                row[x] = 49  # ord("1")
-            # Only the digits from the first to the last member are parsed,
-            # so a set of a few elements costs no O(n) parse.
-            lo, hi = members[0], members[-1]
-            masks[i] = int(row[lo:hi + 1], 2)
-            shifts[i] = n - 1 - hi
+    masks, shifts = s.masks, s.shifts
     heap = [(-len(t), i) for i, t in enumerate(s.sets) if t]
     heapify(heap)
     uncovered = (1 << n) - 1

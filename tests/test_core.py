@@ -138,6 +138,83 @@ def test_setsystem_names_the_first_out_of_range_element():
     assert SetSystem(3, [[2, 0], [], [1]]).sets == ((0, 2), (), (1,))
 
 
+def test_setsystem_reports_a_duplicate_before_a_range_error():
+    # A duplicate outranks an out-of-range id in the same set, on either
+    # side of the range, and an earlier set's error outranks a later one's.
+    for sets, message in [([[0, 1], [3, 1, 3]], "set 1 has duplicate members"),
+                          ([[2, -1, 0, -1]], "set 0 has duplicate members"),
+                          ([[1, 5, 0, 5, -3]], "set 0 has duplicate members"),
+                          ([[0, 1, 2], [2, 0, 1, 0]], "set 1 has duplicate members"),
+                          ([[2, 1, 0, 2, 1]], "set 0 has duplicate members"),
+                          ([[0, 7], [1, 1, 2]], "set 0: element 7 out of range"),
+                          ([[-1], [0, 0]], "set 0: element -1 out of range"),
+                          ([[0, 0]], "set 0 has duplicate members"),
+                          ([[1, 2], [0, 1]], None), ([[1]], r"elements \[0, 2\] are not")]:
+        if message is None:
+            SetSystem(3, sets)
+        else:
+            with pytest.raises(ValidationError, match=message):
+                SetSystem(3, sets)
+
+
+def _hash_set_check(n, sets):
+    """The set system's error message by a hash set per set: duplicates,
+    then the range, set by set, then coverage (None when valid)."""
+    covered = set()
+    for idx, s in enumerate(sets):
+        members = sorted(s)
+        if len(set(members)) != len(members):
+            return f"set {idx} has duplicate members"
+        bad = [x for x in members if not 0 <= x < n]
+        if bad:
+            return f"set {idx}: element {bad[0]} out of range"
+        covered.update(members)
+    if covered != set(range(n)):
+        return f"elements {sorted(set(range(n)) - covered)} are not covered by any set"
+    return None
+
+
+def test_setsystem_errors_match_a_hash_set_check():
+    for seed in range(2000):
+        rng = random.Random(seed)
+        n = rng.randrange(1, 12)
+        sets = [[rng.randrange(-3, n + 3) if rng.random() < 0.1 else rng.randrange(n)
+                 for _ in range(rng.randrange(0, 6))] for _ in range(rng.randrange(0, 5))]
+        try:
+            SetSystem(n, sets)
+            message = None
+        except ValidationError as exc:
+            message = str(exc)
+        assert message == _hash_set_check(n, sets), (n, sets)
+
+
+def test_setsystem_masks_are_the_shifted_bit_sums():
+    # masks[i] << shifts[i] puts element x at bit n-1-x; the mask spans the
+    # first to the last member, so its lowest bit is the last member.
+    systems = [SetSystem(1, [[0]]), SetSystem(5, [[], [4, 0], [], [1, 2, 3]])]
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.randrange(1, 300)
+        p = rng.choice((0.02, 0.5, 0.95))  # sparse, half and dense sets
+        sets = [[x for x in range(n) if rng.random() < p] for _ in range(rng.randrange(0, 12))]
+        sets += [[x] for x in range(n) if rng.random() < 0.3]  # singletons
+        covered = set().union(*sets)
+        sets += [[x] for x in range(n) if x not in covered]
+        for t in sets:
+            rng.shuffle(t)
+        rng.shuffle(sets)
+        systems.append(SetSystem(n, sets))
+    for s in systems:
+        n = s.universe_size
+        assert len(s.masks) == len(s.shifts) == s.k
+        for t, mask, shift in zip(s.sets, s.masks, s.shifts):
+            assert mask << shift == sum(1 << (n - 1 - x) for x in t), t
+            if t:
+                assert (shift, mask & 1, mask.bit_length()) == (n - 1 - t[-1], 1, t[-1] - t[0] + 1)
+            else:
+                assert (mask, shift) == (0, 0)
+
+
 def test_interval_graph_open_convention():
     iv = IntervalSet([(0, 2), (1, 3), (2, 4)])
     g = interval_graph(iv)

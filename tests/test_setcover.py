@@ -333,12 +333,13 @@ def test_greedy_cover_on_many_small_rounds_is_fast():
 
 def test_greedy_rounds_memory_on_singletons():
     # A mask shifted into place takes about n - x bits for the set {x}, so
-    # n singletons held about n^2/16 bytes: a 31 MB peak at n = 20,000.
+    # n singletons held about n^2/16 bytes: a 31 MB peak at n = 20,000. The
+    # set system builds the masks, so it is built inside the window.
     n = 20_000
-    s = SetSystem(n, [[x] for x in range(n)])
+    sets = [[x] for x in range(n)]
     tracemalloc.start()
     try:
-        rounds = _greedy_rounds(s)
+        rounds = _greedy_rounds(SetSystem(n, sets))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
