@@ -138,61 +138,84 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-# Byte tables of SetSystem's digit row: a row byte is b"1" for a member of
-# the set being read, b"c" for an element an earlier set covered, else b"0".
-_DIGITS = bytes.maketrans(b"c", b"0")
-_COVERED = bytes.maketrans(b"1", b"c")
+# A set whose members span at most this many elements per member has its
+# greedy bitmask built while it is checked; a wider one, when it is read.
+_SPAN_PER_MEMBER = 8
 
 
 class SetSystem:
     """A ground set {0..universe_size-1} plus a collection of subsets.
 
-    Each set also carries the bitmask the greedy reads (element x is bit
-    n-1-x): masks[i] spans only set i's first to last member and shifts[i]
-    = n-1-last places it, so a few members far from element n-1 cost a few
-    bits, not n; an empty set has mask and shift 0. One walk over a set's
-    sorted members writes its digits into a row of n bytes, whose span
-    parses to the mask, and a mask with fewer bits than members means a
-    duplicate. The same row marks the covered elements, so all the checks
-    cost O(sum of set sizes + sum of mask spans)."""
+    Checking a set walks its sorted members once, writing each into a row
+    of n bytes (b"1" for the set being read, b"c" once covered). When the
+    members span at most _SPAN_PER_MEMBER elements each, that span of the
+    row parses to the set's bitmask, and a mask with fewer bits than
+    members means a duplicate; a wider set is checked with a hash set and
+    gets its mask from bitmasks(), so the checks cost O(sum of set sizes)
+    whatever the spans."""
 
-    __slots__ = ("universe_size", "sets", "masks", "shifts")
+    __slots__ = ("universe_size", "sets", "_masks")
 
     def __init__(self, universe_size: int, sets: Sequence[Sequence[int]]):
         if universe_size < 1:
             raise ValidationError("universe must be nonempty")
         n = universe_size
         row = bytearray(b"0") * n
-        norm, masks, shifts = [], [], []
+        to_digits = bytes.maketrans(b"c", b"0")
+        to_covered = bytes.maketrans(b"1", b"c")
+        norm, masks = [], []
         for idx, s in enumerate(sets):
             members = tuple(sorted(s))
             norm.append(members)
             if not members:
                 masks.append(0)
-                shifts.append(0)
                 continue
             lo, hi = members[0], members[-1]
-            if not (0 <= lo and hi < n):  # before row[x]: row[-1] is its last byte
+            # in range before row[x] is written: row[-1] is its last byte
+            if 0 <= lo and hi < n and hi - lo < _SPAN_PER_MEMBER * len(members):
+                for x in members:
+                    row[x] = 49  # ord("1")
+                span = row[lo:hi + 1]
+                mask = int(span.translate(to_digits), 2)
+                if mask.bit_count() != len(members):
+                    raise ValidationError(f"set {idx} has duplicate members")
+                row[lo:hi + 1] = span.translate(to_covered)
+            else:
                 if len(set(members)) != len(members):
                     raise ValidationError(f"set {idx} has duplicate members")
-                x = lo if lo < 0 else members[bisect_left(members, n)]
-                raise ValidationError(f"set {idx}: element {x} out of range")
-            for x in members:
-                row[x] = 49  # ord("1")
-            span = row[lo:hi + 1]
-            mask = int(span.translate(_DIGITS), 2)
-            if mask.bit_count() != len(members):
-                raise ValidationError(f"set {idx} has duplicate members")
-            row[lo:hi + 1] = span.translate(_COVERED)
+                if not (0 <= lo and hi < n):
+                    x = lo if lo < 0 else members[bisect_left(members, n)]
+                    raise ValidationError(f"set {idx}: element {x} out of range")
+                for x in members:
+                    row[x] = 99  # ord("c")
+                mask = None
             masks.append(mask)
-            shifts.append(n - 1 - hi)
         if b"0" in row:
             missing = [x for x, c in enumerate(row) if c == 48]  # ord("0")
             raise ValidationError(f"elements {missing} are not covered by any set")
         self.universe_size = universe_size
         self.sets = tuple(norm)
-        self.masks = tuple(masks)
-        self.shifts = tuple(shifts)
+        self._masks = tuple(masks)
+
+    def bitmasks(self) -> tuple[Sequence[int], tuple[int, ...]]:
+        """Each set as the greedy's bitmask, masks[i] << shifts[i], in which
+        element x is bit n-1-x. masks[i] spans only set i's first to last
+        member and shifts[i] = n-1-last places it, so a few members far
+        from element n-1 cost a few bits, not n; an empty set has mask and
+        shift 0. Masks the check did not build cost O(span) each here."""
+        n = self.universe_size
+        shifts = tuple(n - 1 - t[-1] if t else 0 for t in self.sets)
+        masks = self._masks
+        if None in masks:
+            masks = list(masks)
+            for i, members in enumerate(self.sets):
+                if masks[i] is None:
+                    lo = members[0]
+                    digits = bytearray(b"0") * (members[-1] - lo + 1)
+                    for x in members:
+                        digits[x - lo] = 49  # ord("1")
+                    masks[i] = int(digits, 2)
+        return masks, shifts
 
     @property
     def k(self) -> int:

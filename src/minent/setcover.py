@@ -71,14 +71,13 @@ def _greedy_rounds(s: SetSystem) -> list[tuple[int, list[int]]]:
     each round takes the set covering the most uncovered elements, ties to
     the lowest set index.
 
-    Each set is its SetSystem bitmask, masks[i] << shifts[i] in place
-    (element x is bit n-1-x), and so are the uncovered elements, so a
-    remainder's size is one AND and a bit count. Sizes are re-evaluated
-    lazily (Minoux's accelerated greedy): a heap holds (-size when last
-    evaluated, index), sizes only shrink, so an entry whose size is still
-    current when it reaches the top is the first largest."""
+    Each set is its `SetSystem.bitmasks` mask and so are the uncovered
+    elements, so a remainder's size is one AND and a bit count. Sizes are
+    re-evaluated lazily (Minoux's accelerated greedy): a heap holds (-size
+    when last evaluated, index), sizes only shrink, so an entry whose size
+    is still current when it reaches the top is the first largest."""
     n = s.universe_size
-    masks, shifts = s.masks, s.shifts
+    masks, shifts = s.bitmasks()
     heap = [(-len(t), i) for i, t in enumerate(s.sets) if t]
     heapify(heap)
     uncovered = (1 << n) - 1

@@ -485,6 +485,45 @@ def test_cli_orient_exact_over_budget_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _sparse_shuffled_graph_text(n, m, seed):
+    """A random graph with m edges in shuffled order, so most vertex stars
+    span edge ids from near the first to near the last."""
+    rng = random.Random(seed)
+    edges = set()
+    while len(edges) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    edges = sorted(edges)
+    rng.shuffle(edges)
+    return f"graph {n} {m}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+def _wide_sparse_input(action):
+    if action == "orient":
+        # 2^60000 orientations; each vertex's star spans about 3/4 of the edge ids
+        return _sparse_shuffled_graph_text(20_000, 60_000, seed=1)
+    # 4,000 sets {0, n-1}: 4000^2 choices for elements 0 and n-1
+    return ("setcover 200000 4001\n" + "0 199999\n" * 4000
+            + " ".join(map(str, range(1, 199_999))) + "\n")
+
+
+@pytest.mark.parametrize("action", ["orient", "setcover"])
+def test_cli_exact_over_budget_on_wide_sparse_sets_exits_2_at_once(tmp_path, capsys, action):
+    # The set system's check costs O(sum of set sizes), not O(sum of the
+    # spans from each set's first to last member): building every set's
+    # bitmask there took about 4 s and 100 MB on either file.
+    f = tmp_path / "wide.in"
+    f.write_text(_wide_sparse_input(action))
+    start = time.perf_counter()
+    assert main([action, "exact", "--input", str(f)]) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "assignment combinations" in err
+    assert "Traceback" not in err
+
+
 def test_cli_estimate_over_budget_exits_2_at_once(tmp_path, capsys):
     # the circulant C_12(1, 2, 3) is 6-regular; epsilon 1e-4 needs ~4e10 samples
     reg6 = Graph(12, sorted({tuple(sorted((v, (v + d) % 12))) for v in range(12)

@@ -175,11 +175,16 @@ def _hash_set_check(n, sets):
 
 
 def test_setsystem_errors_match_a_hash_set_check():
-    for seed in range(2000):
+    # n < 12 keeps most sets within 8 elements per member, which the row
+    # checks; n up to 200 makes most sets wider, which a hash set checks.
+    for seed in range(3000):
         rng = random.Random(seed)
-        n = rng.randrange(1, 12)
+        n = rng.randrange(1, 12) if seed < 2000 else rng.randrange(1, 200)
         sets = [[rng.randrange(-3, n + 3) if rng.random() < 0.1 else rng.randrange(n)
                  for _ in range(rng.randrange(0, 6))] for _ in range(rng.randrange(0, 5))]
+        for t in sets:
+            if t and rng.random() < 0.2:
+                t.insert(rng.randrange(len(t) + 1), rng.choice(t))
         try:
             SetSystem(n, sets)
             message = None
@@ -190,8 +195,11 @@ def test_setsystem_errors_match_a_hash_set_check():
 
 def test_setsystem_masks_are_the_shifted_bit_sums():
     # masks[i] << shifts[i] puts element x at bit n-1-x; the mask spans the
-    # first to the last member, so its lowest bit is the last member.
-    systems = [SetSystem(1, [[0]]), SetSystem(5, [[], [4, 0], [], [1, 2, 3]])]
+    # first to the last member, so its lowest bit is the last member. Sets
+    # spanning at most 8 elements per member get their masks from the
+    # check, wider ones from bitmasks(): {0, 15} and {0, 16} are either side.
+    systems = [SetSystem(1, [[0]]), SetSystem(5, [[], [4, 0], [], [1, 2, 3]]),
+               SetSystem(40, [[0, 15], [16, 0], [39, 0], list(range(40)), [3, 38]])]
     for seed in range(60):
         rng = random.Random(seed)
         n = rng.randrange(1, 300)
@@ -206,8 +214,9 @@ def test_setsystem_masks_are_the_shifted_bit_sums():
         systems.append(SetSystem(n, sets))
     for s in systems:
         n = s.universe_size
-        assert len(s.masks) == len(s.shifts) == s.k
-        for t, mask, shift in zip(s.sets, s.masks, s.shifts):
+        masks, shifts = s.bitmasks()
+        assert len(masks) == len(shifts) == s.k
+        for t, mask, shift in zip(s.sets, masks, shifts):
             assert mask << shift == sum(1 << (n - 1 - x) for x in t), t
             if t:
                 assert (shift, mask & 1, mask.bit_length()) == (n - 1 - t[-1], 1, t[-1] - t[0] + 1)
