@@ -15,6 +15,7 @@ from .core import (MAX_GRAPH_VERTICES, BudgetError, FeasibilityError, Graph,
                    entropy_of_counts, max_point_depth)
 
 COLORING_CAP = 15  # most vertices exact_coloring searches; J_5 has 15
+MIS_CAP = 40  # most vertices exact_mis searches
 
 
 @dataclass(frozen=True)
@@ -75,8 +76,8 @@ def exact_mis(g: Graph, vertices: Optional[Sequence[int]] = None) -> tuple[int, 
     g) by branch and bound; returns the lexicographically smallest optimum."""
     vs = range(g.n) if vertices is None else sorted(vertices)
     n = len(vs)
-    if n > 40:
-        raise BudgetError("exact MIS oracle limited to 40 vertices")
+    if n > MIS_CAP:
+        raise BudgetError(f"exact MIS oracle limited to {MIS_CAP} vertices")
     if n == 0:
         return ()
     w = [1.0] * n if g.weights is None else [g.weights[v] for v in vs]
@@ -107,62 +108,20 @@ def exact_mis(g: Graph, vertices: Optional[Sequence[int]] = None) -> tuple[int, 
     return tuple(vs[i] for i in best_set)
 
 
-def approx_mis(g: Graph, vertices: Optional[Sequence[int]] = None,
-               degree: Optional[Sequence[int]] = None) -> tuple[int, ...]:
-    """Minimum-degree greedy independent set of the subgraph induced by
-    `vertices` (default: all of g): repeatedly take a minimum-degree vertex
-    of the residual graph (ties to the smallest index) and delete its closed
-    neighborhood. (Delta+2)/3-approximate on max-degree-Delta graphs.
-    `degree`, when given, holds each of `vertices`' degree in the subgraph
-    they induce, so the caller that keeps it saves the count; it is read,
-    not changed.
-
-    A lazy heap of (residual degree, vertex) entries serves the picks, in
-    O((n + m) log n) (Matula & Beck's degree queue): degrees only fall, so an
-    entry whose degree is above the vertex's current one is stale and
-    skipped, and the first live entry popped is the minimum over the
-    residual graph. A deletion that leaves no vertex ends the search without
-    lowering any degree."""
-    adjacency = g.adjacency
-    vs = range(g.n) if vertices is None else vertices
-    alive = [False] * g.n
-    for v in vs:
-        alive[v] = True
-    if degree is None:
-        degree = [0] * g.n
-        for v in vs:
-            degree[v] = sum(map(alive.__getitem__, adjacency[v]))
-    else:
-        degree = list(degree)
-    heap = [(degree[v], v) for v in vs]
-    heapq.heapify(heap)
-    left = len(heap)
-    chosen = []
-    while left:
-        d, v = heapq.heappop(heap)
-        if not alive[v] or d != degree[v]:
-            continue
-        chosen.append(v)
-        removed = [v] + [u for u in adjacency[v] if alive[u]]
-        for u in removed:
-            alive[u] = False
-        left -= len(removed)
-        if left:
-            for u in removed:
-                for w in adjacency[u]:
-                    if alive[w]:
-                        degree[w] -= 1
-                        heapq.heappush(heap, (degree[w], w))
-    return tuple(sorted(chosen))
-
-
 def greedy_coloring(g: Graph, oracle: str = "exact") -> Coloring:
     """Iteratively remove a maximum (or approximate-maximum) independent set
     of the uncolored vertices, assigning a new color to each removed set.
-    The exact oracle uses vertex weights when the graph is weighted. The
-    approximate oracle is given each uncolored vertex's count of uncolored
-    neighbors, kept over all classes in O(n + m): it is lowered as each
-    class leaves, not recounted per class."""
+    The exact oracle is exact_mis, weighted when the graph is.
+
+    The approximate oracle is the min-degree greedy, (Delta+2)/3-approximate:
+    repeatedly take a vertex of least residual degree (ties to the smallest
+    index) and delete its closed neighborhood. Uncolored-neighbor counts are
+    kept over all classes in O(n + m), lowered as each class's vertices are
+    picked. Within a class a lazy heap of (residual degree, vertex) entries
+    serves the picks in O((n + m) log n) (Matula & Beck's degree queue):
+    degrees only fall, so an entry above its vertex's degree is stale and
+    skipped. A deletion that leaves no vertex ends the class without
+    lowering any residual degree."""
     if oracle not in ("exact", "approx"):
         raise ValidationError(f"unknown oracle {oracle!r}")
     adjacency = g.adjacency
@@ -175,10 +134,31 @@ def greedy_coloring(g: Graph, oracle: str = "exact") -> Coloring:
         if degree is None:
             chosen = exact_mis(g, remaining)
         else:
-            chosen = approx_mis(g, remaining, degree)
-            for v in chosen:
-                for w in adjacency[v]:
+            alive = [False] * g.n
+            for v in remaining:
+                alive[v] = True
+            residual = list(degree)
+            heap = [(residual[v], v) for v in remaining]
+            heapq.heapify(heap)
+            left = len(heap)
+            chosen = []
+            while left:
+                d, v = heapq.heappop(heap)
+                if not alive[v] or d != residual[v]:
+                    continue
+                chosen.append(v)
+                for w in adjacency[v]:  # v's neighbors lose an uncolored neighbor
                     degree[w] -= 1
+                removed = [v] + [u for u in adjacency[v] if alive[u]]
+                for u in removed:
+                    alive[u] = False
+                left -= len(removed)
+                if left:
+                    for u in removed:
+                        for w in adjacency[u]:
+                            if alive[w]:
+                                residual[w] -= 1
+                                heapq.heappush(heap, (residual[w], w))
         for v in chosen:
             colors[v] = color
         remaining = [v for v in remaining if not colors[v]]

@@ -228,6 +228,8 @@ def greedy_vs_entropy(g: Graph, constant: float = 4.0, tol: float = 1e-6) -> Gre
     refuse the graph as too large, also check the relaxation chain
     H <= chromatic entropy <= g. All three are taken under the uniform
     distribution, the one graph_entropy uses: vertex weights are ignored."""
+    if not math.isfinite(constant):
+        raise ValidationError("constant must be finite")
     if g.weights is not None:
         g = Graph(g.n, g.edges)
     greedy = greedy_coloring(g, oracle="exact")

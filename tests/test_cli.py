@@ -424,8 +424,12 @@ def test_cli_graph_over_vertex_cap_exits_2(tmp_path, capsys):
     (["orient", "biased"], b"\xff\xfe graph"),
     (["orient", "estimate", "--epsilon", "1e-300"], b"graph 3 3\n0 1\n1 2\n0 2\n"),
     (["orient", "estimate", "--epsilon", "1e-160"], b"graph 3 3\n0 1\n1 2\n0 2\n"),
+    (["graphent", "greedy-bound", "--constant=nan"], b"graph 3 1\n0 1\n"),
+    (["graphent", "greedy-bound", "--constant=inf"], b"graph 3 1\n0 1\n"),
+    (["graphent", "greedy-bound", "--constant=-inf"], b"graph 3 1\n0 1\n"),
 ], ids=["nan-weights", "nan-weights-greedy-coloring", "nan-joint-cell",
-        "nan-epsilon", "nan-tol", "not-utf8", "underflow-epsilon", "overflow-epsilon"])
+        "nan-epsilon", "nan-tol", "not-utf8", "underflow-epsilon", "overflow-epsilon",
+        "nan-constant", "inf-constant", "minus-inf-constant"])
 def test_cli_bad_value_exits_2(tmp_path, capsys, argv, data):
     f = tmp_path / "bad.txt"
     f.write_bytes(data)
