@@ -7,9 +7,12 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .core import WEIGHT_TOL, BudgetError, Graph, SetSystem, ValidationError
-from .coloring import Coloring, coloring_entropy
+
+if TYPE_CHECKING:  # coloring loads only with code_rate, its one user here
+    from .coloring import Coloring
 
 HAPLOTYPE_CAP = 10 ** 5  # most distinct haplotypes haplotype_instance builds
 _DELETE_ALPHABET = str.maketrans("", "", "01?")  # a genotype translates to ""
@@ -132,4 +135,5 @@ def code_rate(g: Graph, c: Coloring) -> float:
     of the confusability graph: the weighted coloring entropy."""
     if g.weights is None:
         raise ValidationError("code rate needs marginal weights on the graph")
+    from .coloring import coloring_entropy
     return coloring_entropy(g, c)

@@ -10,9 +10,10 @@ import math
 import sys
 import time
 
-from . import apps, coloring, graphent, io as mio, orientation, setcover
-from .core import LOG2_E, BudgetError, FeasibilityError, ValidationError, interval_graph
-from .graphent import ConvergenceError
+# Each handler imports the solver modules it runs, so a call compiles only those.
+from . import io as mio
+from .core import (LOG2_E, BudgetError, ConvergenceError, FeasibilityError, ValidationError,
+                   interval_graph)
 
 
 def _load_graph_like(text: str):
@@ -24,7 +25,7 @@ def _load_graph_like(text: str):
 
 def _emit(report: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report, sort_keys=True))
+        print(json.dumps(report, sort_keys=True, check_circular=False))  # built fresh: acyclic
         return
     for key in sorted(report):
         if key in ("command", "input_digest"):
@@ -33,6 +34,7 @@ def _emit(report: dict, as_json: bool) -> None:
 
 
 def _cmd_setcover(args, text: str, report: dict) -> dict:
+    from . import setcover
     system = mio.parse_setcover(text)
     if args.action == "exact":
         cover = setcover.exact_cover(system)
@@ -56,6 +58,7 @@ def _cmd_setcover(args, text: str, report: dict) -> dict:
 
 
 def _cmd_orient(args, text: str, report: dict) -> dict:
+    from . import orientation
     g = _load_graph_like(text)
     if args.action == "estimate":
         s = orientation.sample_count(args.epsilon, args.delta, g.max_degree())
@@ -73,6 +76,7 @@ def _cmd_orient(args, text: str, report: dict) -> dict:
 
 
 def _cmd_color(args, text: str, report: dict) -> dict:
+    from . import coloring
     if args.action == "interval":
         iv = mio.parse_intervals(text)
         g = interval_graph(iv)
@@ -96,6 +100,7 @@ def _cmd_color(args, text: str, report: dict) -> dict:
 
 
 def _cmd_graphent(args, text: str, report: dict) -> dict:
+    from . import graphent
     g = _load_graph_like(text)
     if args.action == "compute":
         h, w = graphent.graph_entropy(g, tol=args.tol)
@@ -129,6 +134,7 @@ _GEN_KINDS = {
 
 def _cmd_gen(args) -> None:
     if args.action == "jk":
+        from . import coloring
         print(mio.serialize_intervals(coloring.gen_jk(args.k)), end="")
         return
     make, serialize = _GEN_KINDS[args.kind]
@@ -136,7 +142,9 @@ def _cmd_gen(args) -> None:
 
 
 def _cmd_app(args, text: str, report: dict) -> dict:
+    from . import apps
     if args.action == "haplotype":
+        from . import setcover
         panel = mio.parse_genotypes(text)
         system, labels = apps.haplotype_instance(panel)
         cover, _ = setcover.greedy_cover(system)
@@ -145,6 +153,7 @@ def _cmd_app(args, text: str, report: dict) -> dict:
                       assignment=[labels[i] for i in cover.assignment],
                       log_likelihood=setcover.likelihood(cover))
         return {}
+    from . import coloring
     table = mio.parse_joint_table(text)
     g = apps.confusability_graph(table)
     col = (coloring.exact_coloring(g) if args.color == "exact"

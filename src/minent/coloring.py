@@ -119,8 +119,9 @@ def greedy_coloring(g: Graph, oracle: str = "exact") -> Coloring:
     kept over all classes in O(n + m), lowered as each class's vertices are
     picked. Within a class a lazy heap of (residual degree, vertex) entries
     serves the picks in O((n + m) log n) (Matula & Beck's degree queue):
-    degrees only fall, so an entry above its vertex's degree is stale and
-    skipped. A deletion that leaves no vertex ends the class without
+    degrees only fall, so a live vertex's newest entry, at its current
+    degree, pops before its older ones, and only entries of deleted vertices
+    are skipped. A deletion that leaves no vertex ends the class without
     lowering any residual degree."""
     if oracle not in ("exact", "approx"):
         raise ValidationError(f"unknown oracle {oracle!r}")
@@ -143,8 +144,8 @@ def greedy_coloring(g: Graph, oracle: str = "exact") -> Coloring:
             left = len(heap)
             chosen = []
             while left:
-                d, v = heapq.heappop(heap)
-                if not alive[v] or d != residual[v]:
+                _, v = heapq.heappop(heap)
+                if not alive[v]:
                     continue
                 chosen.append(v)
                 for w in adjacency[v]:  # v's neighbors lose an uncolored neighbor

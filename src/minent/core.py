@@ -27,6 +27,16 @@ class BudgetError(RuntimeError):
     """Raised when an exact oracle or estimator would exceed its work budget."""
 
 
+class ConvergenceError(RuntimeError):
+    """Raised when graph entropy stops short of its tolerance, with the value
+    and gap it reached."""
+
+    def __init__(self, msg: str, value: float, gap: float):
+        super().__init__(msg)
+        self.value = value
+        self.gap = gap
+
+
 def _xlog2x(x: float) -> float:
     return 0.0 if x == 0 else x * math.log2(x)
 

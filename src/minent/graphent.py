@@ -10,19 +10,12 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import BudgetError, Graph, ValidationError
+from .core import BudgetError, ConvergenceError, Graph, ValidationError
 from .coloring import coloring_entropy, exact_coloring, greedy_coloring
 
 LN2 = math.log(2.0)
 MIS_LIMIT = 10 ** 5  # most maximal independent sets graph_entropy enumerates
 MAX_FW_STEPS = 200_000  # Frank-Wolfe steps before ConvergenceError
-
-
-class ConvergenceError(RuntimeError):
-    def __init__(self, msg: str, value: float, gap: float):
-        super().__init__(msg)
-        self.value = value
-        self.gap = gap
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,17 @@ random instance generators used by the test suites and the CLI."""
 
 from __future__ import annotations
 
-import csv
-import io as _io
 import math
 import random
 from fractions import Fraction
 from itertools import compress, count, repeat
+from typing import TYPE_CHECKING
 
 from .core import (MAX_GRAPH_VERTICES, WORK_BUDGET, BudgetError, Graph, IntervalSet,
                    SetSystem, ValidationError)
-from .apps import GenotypePanel, JointTable
+
+if TYPE_CHECKING:  # apps and csv load only with the parsers that use them
+    from .apps import GenotypePanel, JointTable
 
 MAX_TRIES = 10_000  # draws a rejection-sampling generator makes before giving up
 
@@ -185,6 +186,7 @@ def serialize_intervals(iv: IntervalSet) -> str:
 
 
 def parse_genotypes(text: str) -> GenotypePanel:
+    from .apps import GenotypePanel
     nums, texts = _lines(text)
     if not texts:
         raise ParseError("empty genotype file", 1)
@@ -194,7 +196,10 @@ def parse_genotypes(text: str) -> GenotypePanel:
 def parse_joint_table(text: str) -> JointTable:
     """CSV with a header row of y labels; each further row starts with the
     x label followed by the joint probabilities."""
-    rows = [r for r in csv.reader(_io.StringIO(text)) if any(c.strip() for c in r)]
+    import csv
+    from io import StringIO
+    from .apps import JointTable
+    rows = [r for r in csv.reader(StringIO(text)) if any(c.strip() for c in r)]
     if len(rows) < 2:
         raise ParseError("joint table needs a header row and one data row", 1)
     y_labels = [c.strip() for c in rows[0][1:]]

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 from .core import (WORK_BUDGET, BudgetError, FeasibilityError, Graph, SetSystem,
                    ValidationError, _xlog2x, entropy_of_counts)
-from .setcover import exact_cover
 
 
 @dataclass(frozen=True)
@@ -73,6 +72,7 @@ def exact_orientation(g: Graph) -> Orientation:
     for j, (u, v) in enumerate(g.edges):
         stars[n - 1 - u].append(j)
         stars[n - 1 - v].append(j)
+    from .setcover import exact_cover  # only this exact path loads set cover
     cover = exact_cover(SetSystem(g.m, stars))
     return Orientation(g, [(u, v) if i == n - 1 - v else (v, u)
                            for (u, v), i in zip(g.edges, cover.assignment)])

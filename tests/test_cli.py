@@ -372,15 +372,46 @@ def test_cli_setcover_greedy_output_bytes(tmp_path, capsys, monkeypatch):
                        "seed: 0\ntiming_ms: T\n")
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # Only graph entropy uses numpy; the other commands must not pay for it.
+def _modules_loaded_by(code: str) -> list[str]:
+    """The minent modules, and numpy, that a fresh interpreter has loaded
+    after running `code` against this checkout's minent."""
     src = os.path.dirname(os.path.dirname(minent.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, minent.cli; print('numpy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True).stdout
-    assert out == "False\n"
+    probe = ("\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules"
+             " if m == 'numpy' or m.split('.')[0] == 'minent')))")
+    out = subprocess.run([sys.executable, "-c", code + probe],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # The CLI loads each solver module in the handler that runs it, and numpy
+    # only with graph entropy, so importing it compiles just these.
+    assert _modules_loaded_by("import minent.cli") == [
+        "minent", "minent.cli", "minent.core", "minent.io"]
+
+
+@pytest.mark.parametrize("argv, text, solvers", [
+    (["color", "interval"], "intervals 3\n0/1 2/1\n1/1 3/1\n5/1 6/1\n", ["coloring"]),
+    (["orient", "biased"], "graph 3 2\n0 1\n1 2\n", ["orientation"]),
+    (["app", "haplotype"], "0?1\n011\n", ["apps", "setcover"]),
+], ids=["color-interval", "orient-biased", "app-haplotype"])
+def test_cli_command_loads_only_its_solvers(tmp_path, argv, text, solvers):
+    f = tmp_path / "in.txt"
+    f.write_text(text)
+    call = argv + ["--input", str(f)]
+    loaded = _modules_loaded_by(f"import minent.cli\nassert minent.cli.main({call!r}) == 0")
+    assert loaded == sorted(["minent", "minent.cli", "minent.core", "minent.io"] +
+                            [f"minent.{s}" for s in solvers])
+
+
+def test_package_attribute_imports_its_submodule():
+    code = ("import minent\n"
+            "assert callable(minent.graphent.graph_entropy)\n"
+            "assert minent.graphent.ConvergenceError is minent.core.ConvergenceError\n"
+            "assert not hasattr(minent, 'nope')")
+    assert "minent.graphent" in _modules_loaded_by(code)
 
 
 def test_cli_input_error_exit_code(tmp_path, capsys):
