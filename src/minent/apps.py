@@ -87,11 +87,6 @@ def compatible_haplotypes(genotype: str) -> list[str]:
     return [template % bits for bits in itertools.product("01", repeat=holes)]
 
 
-def explains(haplotype: str, genotype: str) -> bool:
-    return len(haplotype) == len(genotype) and all(
-        g == "?" or h == g for h, g in zip(haplotype, genotype))
-
-
 def haplotype_instance(panel: GenotypePanel) -> tuple[SetSystem, list[str]]:
     """Build the set-cover instance of haplotype phasing: the universe is the
     genotypes (duplicates kept distinct) and each distinct compatible

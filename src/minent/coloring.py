@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 from .core import (MAX_GRAPH_VERTICES, BudgetError, FeasibilityError, Graph,
                    IntervalSet, ValidationError, _left_sweep, _xlog2x,
-                   entropy_of_counts, max_point_depth)
+                   entropy_of_counts)
 
 COLORING_CAP = 15  # most vertices exact_coloring searches; J_5 has 15
 MIS_CAP = 40  # most vertices exact_mis searches
@@ -281,8 +281,9 @@ def interval_mec(iv: IntervalSet) -> tuple[Coloring, LayerDecomposition]:
     """+1-bit minimum entropy coloring of an interval graph.
 
     Intervals are scanned in increasing right-endpoint order and inserted
-    into the first layer whose prefix union stays (i)-clique-free; layer 1
-    gets color 1 and each later layer i is 2-colored with 2i-2 and 2i-1.
+    into the first layer i whose prefix union S_1..S_i stays i-colorable,
+    tested by one _left_sweep; layer 1 gets color 1 and each later layer i
+    is 2-colored with 2i-2 and 2i-1.
     Returns the coloring and the layer decomposition, whose size distribution
     entropy is a lower bound on the chromatic entropy."""
     ivs = iv.intervals
@@ -292,14 +293,13 @@ def interval_mec(iv: IntervalSet) -> tuple[Coloring, LayerDecomposition]:
     order = sorted(range(n), key=lambda v: (ivs[v][1], ivs[v][0], v))
     layers: list[list[int]] = []
     for v in order:
-        placed = False
-        for i in range(len(layers)):
-            candidate = [ivs[u] for lay in layers[:i + 1] for u in lay] + [ivs[v]]
-            if max_point_depth(candidate) <= i + 1:
-                layers[i].append(v)
-                placed = True
+        prefix = [v]
+        for i, layer in enumerate(layers, 1):
+            prefix += layer
+            if all(len(open_) < i for _, open_ in _left_sweep(ivs, prefix)):
+                layer.append(v)
                 break
-        if not placed:
+        else:
             layers.append([v])
 
     colors = [0] * n

@@ -275,13 +275,20 @@ class IntervalSet:
 def _left_sweep(ivs: Sequence[tuple[Fraction, Fraction]], vertices: Sequence[int]):
     """Yield (v, open) over `vertices` in left-endpoint order, ties in given
     order: open lists the earlier-starting intervals still open at v's start
-    (touching endpoints do not overlap). v joins open after the yield."""
+    (touching endpoints do not overlap). v joins open after the yield.
+
+    open is kept in right-endpoint order, so the intervals that end by v's
+    start are a prefix found by one bisection, not a test of each one."""
+    his: list[Fraction] = []  # right endpoints of open_, ascending
     open_: list[int] = []
     for v in sorted(vertices, key=lambda u: ivs[u][0]):
-        lo = ivs[v][0]
-        open_ = [u for u in open_ if ivs[u][1] > lo]
+        lo, hi = ivs[v]
+        k = bisect_right(his, lo)
+        del his[:k], open_[:k]
         yield v, open_
-        open_.append(v)
+        k = bisect_left(his, hi)
+        his.insert(k, hi)
+        open_.insert(k, v)
 
 
 def _edge_count(ivs: Sequence[tuple[Fraction, Fraction]]) -> int:
@@ -304,20 +311,3 @@ def interval_graph(iv: IntervalSet) -> Graph:
              for v, open_ in _left_sweep(ivs, range(n)) for u in open_]
     return Graph(n, sorted(edges))
 
-
-def max_point_depth(intervals: Sequence[tuple[Fraction, Fraction]]) -> int:
-    """Maximum number of open intervals sharing a common point.
-
-    Equals the clique number of the corresponding interval graph. Closing
-    events are processed before opening events at equal coordinates so that
-    touching intervals do not count as overlapping."""
-    events = []
-    for (lo, hi) in intervals:
-        events.append((lo, 1, 1))   # open after closes at same coord
-        events.append((hi, 0, -1))
-    events.sort(key=lambda e: (e[0], e[1]))
-    depth = best = 0
-    for _, _, delta in events:
-        depth += delta
-        best = max(best, depth)
-    return best

@@ -138,8 +138,8 @@ def graph_entropy(g: Graph, tol: float = 1e-6) -> tuple[float, EntropyWitness]:
     line search that bisects the step to float precision; stops when the
     conditional-gradient duality gap drops below tol (bits)."""
     import numpy as np  # here: at module level every minent command would load it
-    if not tol > 0:
-        raise ValidationError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValidationError("tol must be positive and finite")
     n = g.n
     if n == 0:
         raise ValidationError("empty graph")

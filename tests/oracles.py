@@ -5,7 +5,11 @@ against and which no CLI path or solver runs.
   their entropy, and the dominance order of the survey's dominance lemma.
 - Criterion 2's and criterion 7a's graph families: random connected graphs
   and random bipartite graphs.
-- The rows of the J_k interval gadget, and the class sizes of a colouring.
+- The rows of the J_k interval gadget, the class sizes of a colouring, and
+  the clique number of an interval set by an event sweep, independent of
+  the left-endpoint sweep that interval_mec's layers use.
+- The haplotype-explains-genotype relation that haplotype_instance's sets
+  stand for.
 """
 
 from __future__ import annotations
@@ -124,3 +128,27 @@ def jk_rows(k: int) -> list[list[int]]:
 def class_counts(c: Coloring) -> list[int]:
     """The sizes of c's colour classes, in increasing colour order."""
     return [len(cls) for cls in c.classes()]
+
+
+def max_point_depth(intervals: Sequence[tuple[Fraction, Fraction]]) -> int:
+    """Maximum number of open intervals sharing a common point.
+
+    Equals the clique number of the corresponding interval graph. Closing
+    events are processed before opening events at equal coordinates so that
+    touching intervals do not count as overlapping."""
+    events = []
+    for (lo, hi) in intervals:
+        events.append((lo, 1, 1))   # open after closes at same coord
+        events.append((hi, 0, -1))
+    events.sort(key=lambda e: (e[0], e[1]))
+    depth = best = 0
+    for _, _, delta in events:
+        depth += delta
+        best = max(best, depth)
+    return best
+
+
+def explains(haplotype: str, genotype: str) -> bool:
+    """Whether the haplotype agrees with the genotype at every non-? site."""
+    return len(haplotype) == len(genotype) and all(
+        g == "?" or h == g for h, g in zip(haplotype, genotype))

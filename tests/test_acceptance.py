@@ -14,10 +14,10 @@ from minent import coloring as col
 from minent import graphent as ge
 from minent import orientation as orr
 from minent import setcover as sc
-from minent.core import LOG2_E, Graph, interval_graph, max_point_depth
+from minent.core import LOG2_E, Graph, interval_graph
 from minent.io import random_graph, random_intervals, random_regular_graph, random_setcover
 from oracles import (Distribution, class_counts, counts_to_distribution, dominates, entropy,
-                     jk_rows, random_bipartite_graph, random_connected_graph)
+                     jk_rows, max_point_depth, random_bipartite_graph, random_connected_graph)
 
 
 def _verdict(num, ok, desc):

@@ -5,10 +5,11 @@ import pytest
 
 from minent import apps
 from minent.apps import (GenotypePanel, JointTable, code_rate, compatible_haplotypes,
-                         confusability_graph, explains, haplotype_instance)
+                         confusability_graph, haplotype_instance)
 from minent.coloring import Coloring, greedy_coloring
 from minent.core import BudgetError, SetSystem, ValidationError
 from minent.setcover import cover_entropy, exact_cover, greedy_cover, likelihood
+from oracles import explains
 
 CHANNEL3X2 = JointTable(["a", "b", "c"], ["0", "1"],
                    [[0.25, 0.25], [0.25, 0.0], [0.0, 0.25]])

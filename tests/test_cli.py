@@ -458,9 +458,13 @@ def test_cli_graph_over_vertex_cap_exits_2(tmp_path, capsys):
     (["graphent", "greedy-bound", "--constant=nan"], b"graph 3 1\n0 1\n"),
     (["graphent", "greedy-bound", "--constant=inf"], b"graph 3 1\n0 1\n"),
     (["graphent", "greedy-bound", "--constant=-inf"], b"graph 3 1\n0 1\n"),
+    (["graphent", "compute", "--tol", "inf"], b"graph 3 1\n0 1\n"),
+    (["graphent", "split", "--tol", "inf", "--assert-bound"],
+     b"graph 5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n"),
 ], ids=["nan-weights", "nan-weights-greedy-coloring", "nan-joint-cell",
         "nan-epsilon", "nan-tol", "not-utf8", "underflow-epsilon", "overflow-epsilon",
-        "nan-constant", "inf-constant", "minus-inf-constant"])
+        "nan-constant", "inf-constant", "minus-inf-constant", "inf-tol-compute",
+        "inf-tol-split"])
 def test_cli_bad_value_exits_2(tmp_path, capsys, argv, data):
     f = tmp_path / "bad.txt"
     f.write_bytes(data)

@@ -11,10 +11,10 @@ from minent.coloring import (Coloring, _two_color_layer, coloring_entropy,
                              exact_coloring, exact_mis, gen_jk, greedy_coloring,
                              interval_mec)
 from minent.core import (LOG2_E, BudgetError, FeasibilityError, Graph, IntervalSet,
-                         _xlog2x, interval_graph, max_point_depth)
+                         _xlog2x, entropy_of_counts, interval_graph)
 from minent.io import random_intervals
 from oracles import (class_counts, counts_to_distribution, dominates, jk_rows,
-                     random_bipartite_graph)
+                     max_point_depth, random_bipartite_graph)
 
 P3 = Graph(3, [(0, 1), (1, 2)])
 C5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -339,7 +339,6 @@ def test_exact_coloring_small():
 
 
 def test_exact_coloring_matches_partition_enumeration():
-    from minent.core import entropy_of_counts
     for seed in range(25):
         rng = random.Random(seed)
         from minent.io import random_graph
@@ -631,3 +630,52 @@ def test_interval_mec_matches_pairwise_bfs_coloring():
         for i, layer in enumerate(layers.layers[1:], start=2):
             _bfs_two_color_layer(iv, list(layer), sorted_pos, 2 * i - 2, 2 * i - 1, colors)
         assert col.colors == tuple(colors), ivs
+
+
+def _prefix_depth_interval_mec(iv):
+    """interval_mec's layering and colouring as the event-sort version
+    computed them: each candidate layer i rebuilds the endpoint list of the
+    prefix union S_1..S_i plus v, and v joins it when max_point_depth <= i."""
+    ivs = iv.intervals
+    order = sorted(range(len(ivs)), key=lambda v: (ivs[v][1], ivs[v][0], v))
+    layers = []
+    for v in order:
+        placed = False
+        for i in range(len(layers)):
+            candidate = [ivs[u] for lay in layers[:i + 1] for u in lay] + [ivs[v]]
+            if max_point_depth(candidate) <= i + 1:
+                layers[i].append(v)
+                placed = True
+                break
+        if not placed:
+            layers.append([v])
+    colors = [0] * len(ivs)
+    for u in layers[0]:
+        colors[u] = 1
+    for i, layer in enumerate(layers[1:], start=2):
+        _two_color_layer(iv, layer, 2 * i - 2, 2 * i - 1, colors)
+    return (tuple(colors), tuple(tuple(sorted(s)) for s in layers),
+            entropy_of_counts([len(s) for s in layers]))
+
+
+def test_interval_mec_matches_prefix_depth_layering_tie_for_tie():
+    sets = [random_intervals(n, seed=n) for n in range(16, 41)]
+    sets += [random_intervals(n, seed=seed) for n in range(3, 16) for seed in range(10)]
+    sets += [gen_jk(k) for k in range(1, 13)]
+    for seed in range(150):  # coarse grids: many shared and touching endpoints
+        rng = random.Random(seed)
+        grid = rng.randrange(2, 7)
+        ivs = []
+        for _ in range(rng.randrange(2, 21)):
+            a, b = rng.sample(range(grid + 1), 2)
+            ivs.append((Fraction(min(a, b), grid), Fraction(max(a, b), grid)))
+        sets.append(IntervalSet(ivs))
+    rng = random.Random(7)
+    for iv in sets[::4]:
+        ivs = list(iv.intervals)
+        rng.shuffle(ivs)
+        sets.append(IntervalSet(ivs))
+    for iv in sets:
+        col, layers = interval_mec(iv)
+        assert (col.colors, layers.layers, layers.lower_bound_H) == \
+            _prefix_depth_interval_mec(iv), iv.intervals

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from minent.core import (Graph, IntervalSet, SetSystem, ValidationError, _edge_count,
-                         entropy_of_counts, interval_graph, max_point_depth)
-from oracles import Distribution, counts_to_distribution, dominates, entropy
+                         entropy_of_counts, interval_graph)
+from oracles import Distribution, counts_to_distribution, dominates, entropy, max_point_depth
 
 
 def test_entropy_worked_distribution():

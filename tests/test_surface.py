@@ -9,15 +9,6 @@ import minent
 
 SRC = Path(minent.__file__).parent
 
-ALLOWED = {
-    # The haplotype-explains-genotype relation is the phasing model itself.
-    # haplotype_instance builds the same sets by expanding each genotype
-    # instead of testing every pair, so no library code calls it, but it is
-    # the apps API's statement of what the sets mean.
-    "apps.explains",
-}
-
-
 def unreferenced_public_names() -> set[str]:
     """module.name of each public top-level def or class that no Name or
     Attribute node of src/minent outside its own definition mentions.
@@ -38,5 +29,4 @@ def unreferenced_public_names() -> set[str]:
 
 
 def test_every_public_library_name_is_used_by_the_library():
-    # equality also drops an allowlisted name once library code uses it
-    assert unreferenced_public_names() == ALLOWED
+    assert unreferenced_public_names() == set()
