@@ -7,12 +7,8 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .core import WEIGHT_TOL, BudgetError, Graph, SetSystem, ValidationError
-
-if TYPE_CHECKING:  # coloring loads only with code_rate, its one user here
-    from .coloring import Coloring
 
 HAPLOTYPE_CAP = 10 ** 5  # most distinct haplotypes haplotype_instance builds
 _DELETE_ALPHABET = str.maketrans("", "", "01?")  # a genotype translates to ""
@@ -123,12 +119,3 @@ def confusability_graph(t: JointTable) -> Graph:
                    for y in range(len(t.y_labels))):
                 edges.append((a, b))
     return Graph(nx, edges, marg)
-
-
-def code_rate(g: Graph, c: Coloring) -> float:
-    """Rate (bits) of the side-information code induced by a proper coloring
-    of the confusability graph: the weighted coloring entropy."""
-    if g.weights is None:
-        raise ValidationError("code rate needs marginal weights on the graph")
-    from .coloring import coloring_entropy
-    return coloring_entropy(g, c)

@@ -40,21 +40,21 @@ def _cmd_setcover(args, text: str, report: dict) -> dict:
         cover = setcover.exact_cover(system)
     else:
         cover, trace = setcover.greedy_cover(system)
-    report.update(entropy_bits=setcover.cover_entropy(cover),
-                  counts=list(cover.induced_counts))
+    h = setcover.cover_entropy(cover)
+    report.update(entropy_bits=h, counts=list(cover.induced_counts))
     if args.action == "greedy":
         report["rounds"] = [[i, list(new)] for i, new in trace.rounds]
     if args.action != "certify":
         report["assignment"] = list(cover.assignment)
         return {}
-    cert = setcover.dual_certificate(system, trace)
-    fr = setcover.verify_dual_feasibility(system, cert)
-    sum_y = math.fsum(cert.y)
-    report.update(certificate={"y": list(cert.y), "sum_y": sum_y, "g": cert.greedy_entropy},
+    y = setcover.dual_certificate(cover)
+    fr = setcover.verify_dual_feasibility(system, y)
+    sum_y = math.fsum(y)
+    report.update(certificate={"y": list(y), "sum_y": sum_y, "g": h},
                   checked=fr.checked,
                   violations=[v["subset"] for v in fr.violations])
     return {"dual_feasible": not fr.violations,
-            "dual_identity": abs(sum_y - (cert.greedy_entropy - LOG2_E)) <= 1e-9}
+            "dual_identity": abs(sum_y - (h - LOG2_E)) <= 1e-9}
 
 
 def _cmd_orient(args, text: str, report: dict) -> dict:
@@ -162,7 +162,7 @@ def _cmd_app(args, text: str, report: dict) -> dict:
                   marginals=list(g.weights),
                   classes=[[table.x_labels[v] for v in cls]
                            for cls in col.canonical().classes()],
-                  rate_bits=apps.code_rate(g, col))
+                  rate_bits=coloring.coloring_entropy(g, col))
     return {}
 
 

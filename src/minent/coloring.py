@@ -60,6 +60,8 @@ def coloring_entropy(g: Graph, c: Coloring) -> float:
     """Entropy (bits) of the color-class masses: each vertex weighs 1, or
     its vertex weight when the graph is weighted, and the masses are
     normalized by their total."""
+    if g.n == 0:
+        raise ValidationError("empty graph has no coloring")
     if len(c.colors) != g.n:
         raise FeasibilityError("coloring length mismatch")
     if not g.is_proper_coloring(c.colors):
@@ -180,8 +182,10 @@ def exact_coloring(g: Graph) -> Coloring:
     n = g.n
     if n > COLORING_CAP:
         raise BudgetError(f"exact coloring oracle limited to {COLORING_CAP} vertices")
-    if n == 0:
-        raise ValidationError("empty graph has no coloring")
+    # Seed the incumbent entropy from the greedy coloring (whose entropy
+    # refuses the empty graph); the +1e-9 slack keeps the search obliged to
+    # rediscover an actual optimum, preserving the lexicographic tie-break.
+    best_h = coloring_entropy(g, greedy_coloring(g)) + 1e-9
     adj = g.adjacency_masks()
 
     mass = g.weights or [1] * n
@@ -193,10 +197,6 @@ def exact_coloring(g: Graph) -> Coloring:
     total = rest[0]
     log2_total = math.log2(total)
 
-    # Seed the incumbent entropy from the greedy coloring; the +1e-9 slack
-    # keeps the search obliged to rediscover an actual optimum, preserving
-    # the lexicographic tie-break.
-    best_h = coloring_entropy(g, greedy_coloring(g)) + 1e-9
     best_colors: Optional[tuple[int, ...]] = None
 
     class_masks: list[int] = []

@@ -7,6 +7,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heapify, heappop, heapreplace
+from typing import Sequence
 
 from .core import (WORK_BUDGET, BudgetError, FeasibilityError, SetSystem,
                    ValidationError, _xlog2x, entropy_of_counts)
@@ -45,15 +46,6 @@ class GreedyTrace:
     ascending)."""
 
     rounds: tuple[tuple[int, tuple[int, ...]], ...]
-
-
-@dataclass(frozen=True)
-class DualCertificate:
-    """Per-element dual values y_v with the greedy entropy g; by construction
-    sum(y) = g - log2(e)."""
-
-    y: tuple[float, ...]
-    greedy_entropy: float
 
 
 def cover_entropy(a: CoverAssignment) -> float:
@@ -205,25 +197,13 @@ def exact_cover(s: SetSystem) -> CoverAssignment:
     return CoverAssignment(s, assignment)
 
 
-def dual_certificate(s: SetSystem, t: GreedyTrace) -> DualCertificate:
-    """Closed-form dual values y_v = -(1/n) log2(|S_i| e / n) where S_i is
-    the greedy round covering v."""
-    n = s.universe_size
-    covered = [False] * n
-    y = [0.0] * n
-    for set_idx, new in t.rounds:
-        if not (new and 0 <= set_idx < s.k
-                and all(_contains(s.sets[set_idx], v) for v in new)):
-            raise FeasibilityError("trace round inconsistent with set system")
-        size = len(new)
-        for v in new:
-            if covered[v]:
-                raise FeasibilityError(f"element {v} covered twice in trace")
-            covered[v] = True
-            y[v] = -(1.0 / n) * math.log2(size * math.e / n)
-    if not all(covered):
-        raise FeasibilityError("trace does not cover the universe")
-    return DualCertificate(tuple(y), entropy_of_counts([len(new) for _, new in t.rounds]))
+def dual_certificate(a: CoverAssignment) -> tuple[float, ...]:
+    """Closed-form dual values y_v = -(1/n) log2(c e / n), c the count of the
+    set v is assigned to: on the greedy cover, the size of the round that
+    covered v. sum(y) = H(a) - log2(e) for any assignment."""
+    n = len(a.assignment)
+    counts = a.induced_counts
+    return tuple(-(1.0 / n) * math.log2(counts[i] * math.e / n) for i in a.assignment)
 
 
 @dataclass(frozen=True)
@@ -238,7 +218,7 @@ class FeasibilityReport:
     min_slack: float
 
 
-def verify_dual_feasibility(s: SetSystem, c: DualCertificate) -> FeasibilityReport:
+def verify_dual_feasibility(s: SetSystem, y: Sequence[float]) -> FeasibilityReport:
     """Exact check of the dual constraint sum_{v in T} y_v <= -(t/n) log2(t/n),
     t = |T|, for every nonempty subset T of every input set S.
 
@@ -249,7 +229,6 @@ def verify_dual_feasibility(s: SetSystem, c: DualCertificate) -> FeasibilityRepo
     {"subset": the t worst members in ascending order, "lhs": their y-sum,
     "rhs": the right-hand side}."""
     n = s.universe_size
-    y = c.y
     min_slack = math.inf
     violations = []
     for members in s.sets:

@@ -4,9 +4,9 @@ import random
 import pytest
 
 from minent import apps
-from minent.apps import (GenotypePanel, JointTable, code_rate, compatible_haplotypes,
-                         confusability_graph, haplotype_instance)
-from minent.coloring import Coloring, greedy_coloring
+from minent.apps import (GenotypePanel, JointTable, compatible_haplotypes, confusability_graph,
+                         haplotype_instance)
+from minent.coloring import Coloring, coloring_entropy, greedy_coloring
 from minent.core import BudgetError, SetSystem, ValidationError
 from minent.setcover import cover_entropy, exact_cover, greedy_cover, likelihood
 from oracles import explains
@@ -172,7 +172,7 @@ def test_confusability_graph_diagonal_is_edgeless():
     t = JointTable(["a", "b"], ["0", "1"], [[0.5, 0.0], [0.0, 0.5]])
     g = confusability_graph(t)
     assert g.m == 0
-    assert code_rate(g, Coloring([1, 1])) == 0.0
+    assert coloring_entropy(g, Coloring([1, 1])) == 0.0
 
 
 def test_confusability_zero_marginal_rejected():
@@ -189,24 +189,19 @@ def test_confusability_invariant_under_positive_rescaling():
 
 
 def test_code_rate_examples():
+    # the code rate is the coloring entropy under the marginal weights
     uniform = JointTable(["a", "b", "c"], ["0", "1"],
                          [[1 / 6, 1 / 6], [1 / 3, 0.0], [0.0, 1 / 3]])
     g = confusability_graph(uniform)
-    rate = code_rate(g, Coloring([2, 1, 1]))  # {b,c} share a codeword
+    rate = coloring_entropy(g, Coloring([2, 1, 1]))  # {b,c} share a codeword
     assert rate == pytest.approx(0.9183, abs=1e-3)
     # rainbow coloring rate is exactly H(P(X))
-    rainbow = code_rate(g, Coloring([1, 2, 3]))
+    rainbow = coloring_entropy(g, Coloring([1, 2, 3]))
     hx = -math.fsum(p * math.log2(p) for p in g.weights)
     assert rainbow == pytest.approx(hx, abs=1e-12)
-
-
-def test_code_rate_needs_weights():
-    from minent.core import Graph
-    with pytest.raises(ValidationError):
-        code_rate(Graph(2, []), Coloring([1, 1]))
 
 
 def test_greedy_coloring_on_confusability_graph():
     g = confusability_graph(CHANNEL3X2)
     col = greedy_coloring(g)
-    assert code_rate(g, col) <= 1.0 + 1e-9
+    assert coloring_entropy(g, col) <= 1.0 + 1e-9

@@ -372,6 +372,28 @@ def test_cli_setcover_greedy_output_bytes(tmp_path, capsys, monkeypatch):
                        "seed: 0\ntiming_ms: T\n")
 
 
+def test_cli_setcover_certify_output_bytes(tmp_path, capsys, monkeypatch):
+    """The certificate keeps its key order (y, sum_y, g) in the text report;
+    g is the greedy cover's entropy, bit for bit."""
+    (tmp_path / "s.txt").write_text(serialize_setcover(random_setcover(10, 5, seed=4)))
+    monkeypatch.chdir(tmp_path)
+    outs = _timed_outputs(capsys, ["setcover", "certify", "--input", "s.txt"])
+    lo, hi = "-0.11207669460016008", "0.18792330539983992"
+    y = f"[{lo}, {lo}, {lo}, {hi}, {lo}, {lo}, {lo}, {lo}, {hi}, {lo}]"
+    h, sum_y, counts = "0.9219280948873623", "-0.5207669460016008", "[1, 0, 0, 1, 8]"
+    assert outs[0] == (
+        f'{{"certificate": {{"g": {h}, "sum_y": {sum_y}, "y": {y}}}, "checked": 30, '
+        '"checks": {"dual_feasible": true, "dual_identity": true}, '
+        '"command": "setcover certify --input s.txt --json", '
+        f'"counts": {counts}, "entropy_bits": {h}, "input_digest": '
+        '"1677f980c7b4f433638c18add22594e9d4b2440c420814127a64b67fde5aa6f7", '
+        '"seed": 0, "timing_ms": T, "violations": []}\n')
+    assert outs[1] == (f"certificate: {{'y': {y}, 'sum_y': {sum_y}, 'g': {h}}}\n"
+                       "checked: 30\nchecks: {'dual_feasible': True, 'dual_identity': True}\n"
+                       f"counts: {counts}\nentropy_bits: {h}\nseed: 0\ntiming_ms: T\n"
+                       "violations: []\n")
+
+
 def _modules_loaded_by(code: str) -> list[str]:
     """The minent modules, and numpy, that a fresh interpreter has loaded
     after running `code` against this checkout's minent."""
@@ -444,6 +466,18 @@ def test_cli_graph_over_vertex_cap_exits_2(tmp_path, capsys):
     f.write_text("graph 1000001 1\n0 1\n")
     assert main(["orient", "biased", "--input", str(f)]) == 2
     assert capsys.readouterr().err == "error: line 1: more than 1000000 vertices\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["color", "greedy"], ["color", "greedy-approx"], ["color", "exact"],
+    ["graphent", "greedy-bound"],
+], ids=["greedy", "greedy-approx", "exact", "greedy-bound"])
+def test_cli_empty_graph_has_no_coloring(tmp_path, capsys, argv):
+    # coloring_entropy refuses the empty graph for every colouring command
+    f = tmp_path / "empty.g"
+    f.write_text("graph 0 0\n")
+    assert main(argv + ["--input", str(f)]) == 2
+    assert capsys.readouterr().err == "error: empty graph has no coloring\n"
 
 
 @pytest.mark.parametrize("argv, data", [

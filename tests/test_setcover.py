@@ -9,9 +9,8 @@ import pytest
 
 from minent.core import LOG2_E, BudgetError, FeasibilityError, SetSystem, entropy_of_counts
 from minent.io import random_setcover
-from minent.setcover import (CoverAssignment, DualCertificate, GreedyTrace, _greedy_rounds,
-                             cover_entropy, dual_certificate, exact_cover, greedy_cover,
-                             likelihood, verify_dual_feasibility)
+from minent.setcover import (CoverAssignment, _greedy_rounds, cover_entropy, dual_certificate,
+                             exact_cover, greedy_cover, likelihood, verify_dual_feasibility)
 
 WORKED = SetSystem(4, [[0, 1, 2], [2, 3], [3]])
 
@@ -94,74 +93,85 @@ def test_greedy_within_log2e_of_optimum():
 
 
 def test_dual_certificate_values():
-    _, trace = greedy_cover(WORKED)
-    cert = dual_certificate(WORKED, trace)
+    cover, _ = greedy_cover(WORKED)
+    y = dual_certificate(cover)
     # round of size 3 on n=4: y_v = -(1/4) log2(3e/4)
     expect = -(1 / 4) * math.log2(3 * math.e / 4)
-    assert cert.y[0] == pytest.approx(expect, abs=1e-9)
+    assert y[0] == pytest.approx(expect, abs=1e-9)
     assert expect == pytest.approx(-0.2569, abs=1e-3)
-    assert math.fsum(cert.y) == pytest.approx(cert.greedy_entropy - LOG2_E, abs=1e-9)
+    assert math.fsum(y) == pytest.approx(cover_entropy(cover) - LOG2_E, abs=1e-9)
 
 
 def test_dual_certificate_single_round():
     s = SetSystem(3, [[0, 1, 2]])
-    _, trace = greedy_cover(s)
-    cert = dual_certificate(s, trace)
-    assert cert.greedy_entropy == pytest.approx(0.0, abs=1e-12)
-    assert all(yv == pytest.approx(-LOG2_E / 3, abs=1e-12) for yv in cert.y)
-    assert math.fsum(cert.y) == pytest.approx(-LOG2_E, abs=1e-9)
+    cover, _ = greedy_cover(s)
+    y = dual_certificate(cover)
+    assert cover_entropy(cover) == pytest.approx(0.0, abs=1e-12)
+    assert all(yv == pytest.approx(-LOG2_E / 3, abs=1e-12) for yv in y)
+    assert math.fsum(y) == pytest.approx(-LOG2_E, abs=1e-9)
+
+
+def _round_duals(s):
+    """The dual values as computed from the greedy trace: y_v from the size
+    of the round that covered v."""
+    n = s.universe_size
+    y = [0.0] * n
+    for _, new in greedy_cover(s)[1].rounds:
+        for v in new:
+            y[v] = -(1.0 / n) * math.log2(len(new) * math.e / n)
+    return tuple(y)
+
+
+def test_dual_certificate_matches_the_round_sizes_bit_for_bit():
+    for seed in range(300):
+        rng = random.Random(seed)
+        s = random_setcover(rng.randrange(1, 13), rng.randrange(1, 6), seed=seed)
+        assert dual_certificate(greedy_cover(s)[0]) == _round_duals(s)
 
 
 def test_dual_identity_on_random_instances():
     for seed in range(100):
         rng = random.Random(1000 + seed)
         s = random_setcover(rng.randrange(1, 9), rng.randrange(1, 6), seed=seed)
-        cert = dual_certificate(s, greedy_cover(s)[1])
-        assert math.fsum(cert.y) == pytest.approx(cert.greedy_entropy - LOG2_E, abs=1e-9)
+        cover = greedy_cover(s)[0]
+        assert math.fsum(dual_certificate(cover)) == \
+            pytest.approx(cover_entropy(cover) - LOG2_E, abs=1e-9)
 
 
-def test_dual_certificate_rejects_mismatched_trace():
-    _, trace = greedy_cover(WORKED)
-    other = SetSystem(4, [[0, 1], [2, 3]])
-    with pytest.raises(FeasibilityError):
-        dual_certificate(other, trace)
-
-
-def test_dual_certificate_rejects_a_set_index_out_of_range():
-    # index -2 would read set 0 and index 5 would run off the list
-    s = SetSystem(2, [[0, 1], [1]])
-    for i in (-2, 5):
-        with pytest.raises(FeasibilityError, match="trace round inconsistent with set system"):
-            dual_certificate(s, GreedyTrace(((i, (0, 1)),)))
+def test_dual_identity_holds_for_any_assignment():
+    # sum y = H(a) - log2 e is an identity of the assignment, not of greedy
+    for seed in range(100):
+        rng = random.Random(2000 + seed)
+        s = random_setcover(rng.randrange(1, 9), rng.randrange(1, 6), seed=seed)
+        cover = exact_cover(s)
+        assert math.fsum(dual_certificate(cover)) == \
+            pytest.approx(cover_entropy(cover) - LOG2_E, abs=1e-9)
 
 
 def test_dual_feasibility_exhaustive_on_worked_instance():
-    _, trace = greedy_cover(WORKED)
-    cert = dual_certificate(WORKED, trace)
-    report = verify_dual_feasibility(WORKED, cert)
+    report = verify_dual_feasibility(WORKED, dual_certificate(greedy_cover(WORKED)[0]))
     assert report.checked == 3 + 2 + 1
     assert report.violations == ()
 
 
 def test_dual_feasibility_empty_subset_never_violates():
     s = SetSystem(1, [[0]])
-    cert = dual_certificate(s, greedy_cover(s)[1])
-    assert verify_dual_feasibility(s, cert).violations == ()
+    assert verify_dual_feasibility(s, dual_certificate(greedy_cover(s)[0])).violations == ()
 
 
 def test_dual_feasibility_property():
     for seed in range(200):
         rng = random.Random(seed)
         s = random_setcover(rng.randrange(1, 11), rng.randrange(1, 6), seed=seed)
-        cert = dual_certificate(s, greedy_cover(s)[1])
-        assert verify_dual_feasibility(s, cert).violations == ()
+        y = dual_certificate(greedy_cover(s)[0])
+        assert verify_dual_feasibility(s, y).violations == ()
 
 
 def test_dual_feasibility_finds_violation_only_at_full_size():
     # y is far below every right-hand side except at |T| = 24 = n, where the
     # right-hand side is 0 and the sum of y is positive.
     s = SetSystem(24, [list(range(24))])
-    report = verify_dual_feasibility(s, DualCertificate((1e-9,) * 24, 0.0))
+    report = verify_dual_feasibility(s, (1e-9,) * 24)
     assert report.checked == 24
     assert [v["subset"] for v in report.violations] == [tuple(range(24))]
     assert report.violations[0]["rhs"] == 0.0
@@ -191,8 +201,8 @@ def test_dual_feasibility_matches_brute_force():
         s = random_setcover(rng.randrange(1, 13), rng.randrange(1, 6), seed=seed)
         n = s.universe_size
         y = [v + rng.uniform(-1, 3) / n * (seed % 2)
-             for v in dual_certificate(s, greedy_cover(s)[1]).y]
-        report = verify_dual_feasibility(s, DualCertificate(tuple(y), 0.0))
+             for v in dual_certificate(greedy_cover(s)[0])]
+        report = verify_dual_feasibility(s, y)
         expected = _brute_force_violations(s, y)
         assert [len(v["subset"]) for v in report.violations] == [t for t, _ in expected]
         for v, (_, lhs) in zip(report.violations, expected):
