@@ -394,6 +394,99 @@ def test_cli_setcover_certify_output_bytes(tmp_path, capsys, monkeypatch):
                        "violations: []\n")
 
 
+def _exit_and_streams(capsys, argv):
+    """Exit code, stdout and stderr of one call; argparse exits by SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    streams = capsys.readouterr()
+    return code, streams.out, streams.err
+
+
+TOP_USAGE = "usage: minent [-h] {setcover,orient,color,graphent,gen,app} ...\n"
+ORIENT_USAGE = ("usage: minent orient [-h] --input INPUT [--json] [--seed SEED]\n"
+                "                     [--assert-bound] [--epsilon EPSILON] [--delta DELTA]\n"
+                "                     [--one-sided]\n"
+                "                     {biased,exact,estimate}\n")
+TOP_HELP = (TOP_USAGE + "\nMinimum entropy combinatorial optimization solvers\n\n"
+            "positional arguments:\n  {setcover,orient,color,graphent,gen,app}\n\n"
+            "options:\n  -h, --help            show this help message and exit\n")
+ORIENT_HELP = (ORIENT_USAGE + "\npositional arguments:\n  {biased,exact,estimate}\n\n"
+               "options:\n  -h, --help            show this help message and exit\n"
+               "  --input INPUT\n  --json\n  --seed SEED\n  --assert-bound\n"
+               "  --epsilon EPSILON\n  --delta DELTA\n  --one-sided\n")
+ARGV_CASES = [
+    ([], 2, "", TOP_USAGE + "minent: error: the following arguments are required: group\n"),
+    (["--help"], 0, TOP_HELP, ""),
+    (["bogus"], 2, "", TOP_USAGE + "minent: error: argument group: invalid choice: 'bogus' "
+     "(choose from 'setcover', 'orient', 'color', 'graphent', 'gen', 'app')\n"),
+    (["orient"], 2, "", ORIENT_USAGE +
+     "minent orient: error: the following arguments are required: action, --input\n"),
+    (["orient", "--help"], 0, ORIENT_HELP, ""),
+    (["orient", "sideways", "--input", "g.txt"], 2, "", ORIENT_USAGE +
+     "minent orient: error: argument action: invalid choice: 'sideways' "
+     "(choose from 'biased', 'exact', 'estimate')\n"),
+    (["orient", "biased", "--input", "g.txt", "--input"], 2, "", ORIENT_USAGE +
+     "minent orient: error: argument --input: expected one argument\n"),
+    (["orient", "biased", "extra", "--input", "g.txt"], 2, "",
+     TOP_USAGE + "minent: error: unrecognized arguments: extra\n"),
+    (["gen", "jk", "--k", "2", "x", "--nope"], 2, "",
+     TOP_USAGE + "minent: error: unrecognized arguments: x --nope\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", ARGV_CASES,
+                         ids=[" ".join(c[0]) or "no-args" for c in ARGV_CASES])
+def test_cli_argument_errors_and_help_bytes(tmp_path, capsys, monkeypatch, argv, code, out, err):
+    """Usage errors and help keep argparse's messages and exit codes byte for
+    byte: errors inside a command group name the group's usage, and leftover
+    arguments are the top-level parser's error."""
+    (tmp_path / "g.txt").write_text(ORIENT_GRAPH)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _exit_and_streams(capsys, argv) == (code, out, err)
+
+
+def test_cli_accepts_an_abbreviated_option(tmp_path, capsys, monkeypatch):
+    (tmp_path / "g.txt").write_text(ORIENT_GRAPH)
+    monkeypatch.chdir(tmp_path)
+    full = _timed_outputs(capsys, ["orient", "biased", "--input", "g.txt"])
+    short = _timed_outputs(capsys, ["orient", "biased", "--inp", "g.txt"])
+    assert short[0] == full[0].replace("--input", "--inp")
+    assert short[1] == full[1]
+
+
+def test_cli_main_reads_sys_argv(tmp_path, capsys, monkeypatch):
+    """The console script calls main() with no arguments: it parses and
+    reports the process's own arguments."""
+    (tmp_path / "g.txt").write_text(ORIENT_GRAPH)
+    monkeypatch.chdir(tmp_path)
+    argv = ["orient", "biased", "--input", "g.txt", "--json"]
+    monkeypatch.setattr(sys, "argv", ["minent"] + argv)
+    code, out = _run(capsys, None)
+    assert code == 0
+    assert json.loads(out)["command"] == " ".join(argv)
+    assert _timed_outputs(capsys, argv[:-1])[0] == re.sub(
+        r'timing_ms": [0-9.e+-]+', 'timing_ms": T', out)
+
+
+def test_cli_module_run_matches_in_process_report(tmp_path, capsys, monkeypatch):
+    (tmp_path / "g.txt").write_text(ORIENT_GRAPH)
+    monkeypatch.chdir(tmp_path)
+    argv = ["orient", "biased", "--input", "g.txt", "--json"]
+    src = os.path.dirname(os.path.dirname(minent.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "minent.cli"] + argv,
+                          env=env, capture_output=True, text=True, check=True)
+    code, out = _run(capsys, argv)
+    assert code == 0 and proc.stderr == ""
+    spawned, in_process = json.loads(proc.stdout), json.loads(out)
+    spawned.pop("timing_ms"), in_process.pop("timing_ms")
+    assert spawned == in_process
+
+
 def _modules_loaded_by(code: str) -> list[str]:
     """The minent modules, and numpy, that a fresh interpreter has loaded
     after running `code` against this checkout's minent."""
@@ -611,10 +704,22 @@ def test_cli_estimate_over_budget_exits_2_at_once(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_cli_unknown_flag_exits_2(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["setcover", "greedy", "--nope"])
-    assert exc.value.code == 2
+SETCOVER_USAGE = ("usage: minent setcover [-h] --input INPUT [--json] [--seed SEED]\n"
+                  "                       [--assert-bound]\n"
+                  "                       {greedy,exact,certify}\n")
+
+
+def test_cli_unknown_flag_exits_2(tmp_path, capsys, monkeypatch):
+    # Without --input the missing option is the group's error; with it, the
+    # unknown flag is left over and the top-level parser reports it.
+    (tmp_path / "s.txt").write_text(WORKED_SC)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _exit_and_streams(capsys, ["setcover", "greedy", "--nope"]) == (
+        2, "", SETCOVER_USAGE +
+        "minent setcover: error: the following arguments are required: --input\n")
+    assert _exit_and_streams(capsys, ["setcover", "greedy", "--nope", "--input", "s.txt"]) == (
+        2, "", TOP_USAGE + "minent: error: unrecognized arguments: --nope\n")
 
 
 def test_cli_report_deterministic(tmp_path, capsys):

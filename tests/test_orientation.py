@@ -334,3 +334,17 @@ def test_estimator_matches_edge_head_loop_tie_for_tie():
             for kw in ({}, {"one_sided": True}, {"full_sweep": True}):
                 assert (estimate_entropy(g, eps, 0.05, seed, **kw)
                         == _reference_estimate(g, eps, 0.05, seed, **kw)), g.edges
+
+
+@pytest.mark.parametrize("n", [31, 32, 33, 63, 64, 65, 127, 128, 129])
+def test_estimator_draws_the_randrange_stream(n):
+    """The estimator's draws are `randrange(n)`'s: at and around powers of
+    two, where the rejection rule's bit count changes, and at up to 1,800
+    samples. Degrees spread from about 1 to 10, so a stream that differed
+    in any draw would change the fsum of rho log2 rho."""
+    g = random_graph(n, 3 * n, seed=n)
+    for seed in range(3):
+        for s in (1, 2, 111, 600, 1_800):
+            eps = _epsilon_for(s, g)
+            assert (estimate_entropy(g, eps, 0.05, seed)
+                    == _reference_estimate(g, eps, 0.05, seed)), (seed, s)
