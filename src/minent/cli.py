@@ -167,8 +167,9 @@ def _cmd_app(args, text: str, report: dict) -> dict:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process; parsing does not modify it."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The CLI parser and each command group's own parser, by group name,
+    built once per process; parsing does not modify them."""
     parser = argparse.ArgumentParser(
         prog="minent",
         description="Minimum entropy combinatorial optimization solvers")
@@ -216,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--color", choices=["greedy", "exact"], default="greedy")
 
-    return parser
+    return parser, sub.choices
 
 
 # handler(args, text, report): adds its results to the report, which already
@@ -231,8 +232,25 @@ _HANDLERS = {
 }
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse with the named group's parser alone, which is what the full
+    parser runs after matching the group; anything else (no arguments,
+    --help, an unknown group) takes the full parser and its messages."""
+    parser, groups = build_parser()
+    group = groups.get(argv[0]) if argv else None
+    if group is None:
+        return parser.parse_args(argv)
+    args, extras = group.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.group = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_args(argv)
     start = time.perf_counter()
     try:
         if args.group == "gen":
@@ -240,7 +258,7 @@ def main(argv=None) -> int:
             return 0
         with open(args.input) as f:
             text = f.read()
-        report = {"command": " ".join(sys.argv[1:] if argv is None else argv),
+        report = {"command": " ".join(argv),
                   "input_digest": hashlib.sha256(text.encode()).hexdigest(),
                   "seed": args.seed}
         checks = _HANDLERS[args.group](args, text, report)

@@ -199,7 +199,11 @@ def graph_entropy(g: Graph, tol: float = 1e-6) -> tuple[float, EntropyWitness]:
 
 def splitting_gap(g: Graph, tol: float = 1e-6) -> float:
     """H(G) + H(complement of G) - log2 n; zero (within solver tolerance)
-    exactly on perfect graphs."""
+    exactly on perfect graphs. The true gap is never negative, and each
+    Frank-Wolfe value is an upper bound on its entropy within tol, so a
+    result of at most 2*tol (the CLI's `splits_entropy`) certifies a true
+    gap of at most 2*tol. Every perfect graph passes; a graph shows perfect
+    only when 2*tol is below its gap (C5, gap 0.32 bits, passes at tol 1)."""
     h1, _ = graph_entropy(g, tol)
     h2, _ = graph_entropy(g.complement(), tol)
     return h1 + h2 - math.log2(g.n)
