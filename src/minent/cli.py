@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import hashlib
 import json
 import math
@@ -248,8 +249,21 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    """Run one command with the cyclic garbage collector paused, and leave
+    the collector on or off as the caller had it. A call makes no reference
+    cycles (the tests check every command), so reference counting frees all
+    it drops, and a collection while the instance is built would walk every
+    new object to free nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(sys.argv[1:] if argv is None else argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _main(argv: list[str]) -> int:
     args = _parse_args(argv)
     start = time.perf_counter()
     try:

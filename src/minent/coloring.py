@@ -107,6 +107,7 @@ def exact_mis(g: Graph, vertices: Optional[Sequence[int]] = None) -> tuple[int, 
         recurse(v + 1, chosen_mask, chosen, cur)
 
     recurse(0, 0, [], 0.0)
+    del recurse  # its closure holds it: a cycle that reference counting cannot free
     return tuple(vs[i] for i in best_set)
 
 
@@ -234,6 +235,7 @@ def exact_coloring(g: Graph) -> Coloring:
         masses.pop()
 
     recurse(0, 0.0)
+    del recurse  # its closure holds it: a cycle that reference counting cannot free
     assert best_colors is not None
     return Coloring(best_colors)
 

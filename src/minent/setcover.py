@@ -191,6 +191,7 @@ def exact_cover(s: SetSystem) -> CoverAssignment:
             rest[i] += 1
 
     recurse(0, sum(xlog[c] for c in counts))
+    del recurse  # its closure holds it: a cycle that reference counting cannot free
     assignment = [c[0] for c in choices]
     for x, i in zip(free, best):
         assignment[x] = i

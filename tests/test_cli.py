@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -404,6 +405,25 @@ def _exit_and_streams(capsys, argv):
     return code, streams.out, streams.err
 
 
+def _keeps_collector_state(capsys, argv) -> bool:
+    """Whether main leaves the cyclic garbage collector on, and off, as its
+    caller had it, on whatever exit argv takes; the output is dropped."""
+    was_enabled = gc.isenabled()
+    kept = []
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            try:
+                main(argv)
+            except SystemExit:
+                pass
+            kept.append(gc.isenabled() == enabled)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+        capsys.readouterr()
+    return kept == [True, True]
+
+
 TOP_USAGE = "usage: minent [-h] {setcover,orient,color,graphent,gen,app} ...\n"
 ORIENT_USAGE = ("usage: minent orient [-h] --input INPUT [--json] [--seed SEED]\n"
                 "                     [--assert-bound] [--epsilon EPSILON] [--delta DELTA]\n"
@@ -446,6 +466,7 @@ def test_cli_argument_errors_and_help_bytes(tmp_path, capsys, monkeypatch, argv,
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")
     assert _exit_and_streams(capsys, argv) == (code, out, err)
+    assert _keeps_collector_state(capsys, argv)
 
 
 def test_cli_accepts_an_abbreviated_option(tmp_path, capsys, monkeypatch):
@@ -534,6 +555,7 @@ def test_cli_input_error_exit_code(tmp_path, capsys):
     f.write_text("graph 3 2\n0 1\n0 1\n")
     assert main(["orient", "biased", "--input", str(f)]) == 2
     assert main(["setcover", "greedy", "--input", str(tmp_path / "missing")]) == 2
+    assert _keeps_collector_state(capsys, ["orient", "biased", "--input", str(f)])
 
 
 @pytest.mark.parametrize("argv, text", [
@@ -788,6 +810,37 @@ def test_cli_failed_bound_exits_1(tmp_path, capsys):
                               "--constant", "-100", "--assert-bound"])
     assert code == 1
     assert json.loads(out)["checks"]["greedy_bound"] is False
+    assert _keeps_collector_state(capsys, ["graphent", "greedy-bound", "--input", str(f),
+                                           "--constant", "-100", "--assert-bound"])
+
+
+# argv, input text (None: the call reads no file), exit code
+GARBAGE_CASES = ([(argv, text, 0) for argv, text, _ in SUCCESS_CASES]
+                 + [(["gen", "random", "--kind", kind, "--n", "8", "--m", "10", "--k", "4"],
+                     None, 0) for kind in _GEN_KINDS]
+                 + [(["gen", "jk", "--k", "3"], None, 0),
+                    (["graphent", "greedy-bound", "--constant", "-100", "--assert-bound"],
+                     TINY_GRAPH, 1),
+                    (["orient", "biased"], "graph 3 2\n0 1\n0 1\n", 2),
+                    (["setcover", "greedy"], "setcover x 1\n0\n", 2),
+                    (["color", "interval"], "intervals 1\n2/1 1/1\n", 2)])
+
+
+@pytest.mark.parametrize("argv, text, code", GARBAGE_CASES,
+                         ids=[f"{' '.join(argv)} exit {code}" for argv, _, code in GARBAGE_CASES])
+def test_cli_call_leaves_no_cyclic_garbage(tmp_path, capsys, argv, text, code):
+    """main pauses the cyclic collector for a call. That is safe because a
+    call builds no reference cycles: reference counting frees all it drops,
+    so a collection right after it finds nothing unreachable. The first call
+    also imports the command's solver modules; only the second is counted."""
+    if text is not None:
+        f = tmp_path / "in.txt"
+        f.write_text(text)
+        argv = argv + ["--input", str(f)]
+    assert main(argv) == code
+    gc.collect()
+    assert main(argv) == code
+    assert gc.collect() == 0
 
 
 GEN_PARSERS = {"graph": parse_graph, "interval": parse_intervals,
