@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import compress, count, repeat
+from itertools import compress, count
 from typing import TYPE_CHECKING
 
 from .core import (MAX_GRAPH_VERTICES, WORK_BUDGET, BudgetError, Graph, IntervalSet,
@@ -78,16 +78,7 @@ def _build(ln: int, cls, *args):
 
 def _edge_pairs(nums: list[int], lines: list[str], read) -> list[tuple[int, int]]:
     """The (u, v) pairs of the edge lines, or a ParseError naming the first
-    bad line. Stripped lines holding one space each have two tokens or more,
-    so 2m tokens in all means exactly two on each line: then the whole block
-    is split and read at once."""
-    toks = " ".join(lines).split()
-    if len(toks) == 2 * len(lines) and set(map(str.count, lines, repeat(" "))) <= {1}:
-        try:
-            ids = iter(read(toks))
-            return list(zip(ids, ids))
-        except ValueError:
-            pass  # the loop below names the line
+    bad line."""
     edges = []
     for eln, raw in zip(nums, lines):
         toks = raw.split()
@@ -100,25 +91,61 @@ def _edge_pairs(nums: list[int], lines: list[str], read) -> list[tuple[int, int]
     return edges
 
 
+def _weights(ln: int, raw: str, n: int) -> list[float]:
+    """The n reals of the `weights` line raw, at line ln."""
+    toks = raw.split()
+    if toks[0] != "weights" or len(toks) != n + 1:
+        raise ParseError(f"expected 'weights' line with {n} reals", ln)
+    try:
+        return [float(t) for t in toks[1:]]
+    except ValueError:
+        raise ParseError("non-real vertex weight", ln)
+
+
+def _canonical_graph(text: str):
+    """parse_graph's result for a canonical file, read as one block: a first
+    line `graph <n> <m>` with single spaces, m lines `<digits> <digits>\n`,
+    then at most one `weights` line. None for any other file, whose faults
+    only the per-line reader names. Deleting the ASCII digits must leave the
+    edge block exactly " \n" m times, and its split 2m tokens: so every line
+    holds two digit runs, and a huge m is refused by a length before
+    anything is sized by it."""
+    head, _, body = text.partition("\n")
+    parts = head.split(" ")  # a short header keeps int() below its digit limit
+    if not (len(parts) == 3 and parts[0] == "graph" and len(head) < 40
+            and parts[1].isdecimal() and parts[2].isdecimal()):
+        return None
+    n, m = int(parts[1]), int(parts[2])
+    cut = body.find("w")
+    block, rest = (body, []) if cut < 0 else (body[:cut], body[cut:].splitlines())
+    seps = block.encode().translate(None, b"0123456789")
+    if n > MAX_GRAPH_VERTICES or len(seps) != 2 * m or seps != b" \n" * m or len(rest) > 1:
+        return None
+    toks = block.split()
+    if len(toks) != 2 * m:
+        return None
+    try:
+        ids = iter(_id_reader(n, text)(toks))
+    except ValueError:
+        return None
+    edges = list(zip(ids, ids))
+    weights = _weights(m + 2, rest[0], n) if rest else None
+    return _build(1, Graph, n, edges, weights)
+
+
 def parse_graph(text: str) -> Graph:
     """Format: `graph <n> <m>`, m lines `<u> <v>`, optional trailing line
     `weights <w0> ... <w_{n-1}>`."""
+    g = _canonical_graph(text)
+    if g is not None:
+        return g
     ln, (n, m), nums, body = _records(text, "graph", ("n", "m"))
     if n > MAX_GRAPH_VERTICES:
         raise ParseError(f"more than {MAX_GRAPH_VERTICES} vertices", ln)
     if len(body) not in (m, m + 1):
         raise ParseError(f"expected {m} edge lines", ln)
     edges = _edge_pairs(nums, body[:m], _id_reader(n, text))
-    weights = None
-    if len(body) == m + 1:
-        wln, raw = nums[m], body[m]
-        toks = raw.split()
-        if toks[0] != "weights" or len(toks) != n + 1:
-            raise ParseError(f"expected 'weights' line with {n} reals", wln)
-        try:
-            weights = [float(t) for t in toks[1:]]
-        except ValueError:
-            raise ParseError("non-real vertex weight", wln)
+    weights = _weights(nums[m], body[m], n) if len(body) == m + 1 else None
     return _build(ln, Graph, n, edges, weights)
 
 

@@ -202,6 +202,7 @@ odd = st.one_of(st.integers(-3, 12).map(str), st.sampled_from(ODD_TOKENS),
                 st.sampled_from(["nan", "0.5", "weights"]))
 
 FILES = ["graph 4 3\n0 1\n1 2\n3 1\n", "graph 3 2\n0 1\n1 2\nweights 0.25 0.5 0.25\n",
+         "graph 4 3\n0 1\n1 2\n3 1", "graph 3 2\r\n0 1\r\n1 2\r\nweights 0.25 0.5 0.25\r\n",
          "setcover 4 3\n0 1 2\n2 3\n3 0\n", "setcover 3 2\n0 1\n1 2\n"]
 
 
@@ -215,16 +216,71 @@ def test_parsers_match_int_parse_on_mutated_files(text, data):
     if data.draw(st.booleans()):
         i = data.draw(st.integers(1, len(lines) - 1))
         lines[i].insert(data.draw(st.integers(0, len(lines[i]))), data.draw(odd))
-    _assert_parsers_agree("".join(" ".join(toks) + "\n" for toks in lines))
+    eol = "\r\n" if "\r\n" in text else "\n"  # keep the file's line ends
+    mutated = eol.join(" ".join(toks) for toks in lines)
+    _assert_parsers_agree(mutated + eol if text.endswith("\n") else mutated)
+
+
+# Graph files at or next to the canonical form that parse_graph reads as one
+# block: each must be read, or refused with the message and line, that the
+# per-line reference gives.
+NEAR_CANONICAL = [
+    "graph 4 2\n0 1\n2 3\n", "graph 4 2\n0 1\n2 3", "graph 4 2\r\n0 1\r\n2 3\r\n",
+    "graph 4 2\n0 1\r\n2 3\n", "graph 4 2\n0 1\n2 3 \n", "graph 4 2 \n0 1\n2 3\n",
+    "\ngraph 4 2\n0 1\n2 3\n", "graph 4 2\n\n0 1\n2 3\n", "graph  4 2\n0 1\n2 3\n",
+    "graph 4 2\n0  1\n2 3\n", "graph 4 2\n0 1\n 3\n", "graph 4 2\n0 1\n2 \n",
+    "graph 4 2\n0 1\n2 3\n1\n", "graph 4 2\n0 1 2\n3\n", "graph 4 2\n0 1\n2 3\n\n", "graph 4 2\n0 1\x0c2 3\n",
+    "graph 4 2\n0 1\n", "graph 4 1\n0 1\n2 3\n", "graph 04 2\n0 1\n007 3\n",
+    "graph 4 0\n", "graph 4 0", "graph 0 0\n", "graph 4 0\n\n", "graph 4 0\n0 1\n",
+    "graph 3 0\nweights 0.25 0.5 0.25\n", "graph 3 1\n0 1\nweights 0.25 0.5 0.25\n",
+    "graph 3 1\n0 1\nweights 0.25 0.5 0.25", "graph 3 1\n0 1\nweights 0.25 0.5\n",
+    "graph 3 1\n0 1\nweights 0.25 0.5 x\n", "graph 3 1\n0 1\nweights 0.5 0.5 0.5\n",
+    "graph 3 1\n0 1\nweights 0.25 0.5 0.25\n\n", "graph 3 1\n0 1\nweights 0.25 0.5\r0.25\n",
+    "graph 3 1\n0 1\nweights 0.25 0.5 0.25\n1 2\n", "graph 3 1\n0 1\nwx\n",
+    "graph 3 1\n0 w\nweights 0.25 0.5 0.25\n", "graph 3 0\n1weights 0.25 0.5 0.25\n",
+    "graph 4 2\n0 1\n2 4\n", "graph 4 2\n0 1\n9 2\n", "graph 4 2\n0 1\n1 0\n",
+    "graph 4 2\n0 1\n0 1\n", "graph 4 2\n3 3\n0 1\n", f"graph {MAX_GRAPH_VERTICES + 1} 1\n0 1\n",
+    f"graph {MAX_GRAPH_VERTICES} 1\n0 {MAX_GRAPH_VERTICES}\n", "graph 3 1000000000000\n0 1\n",
+    "graph 4 2\n0 1\n\u0663 2\n", "graph 4 2\n0 1\n2 \uff13\n", "graph \u0664 2\n0 1\n2 3\n",
+    "graph 4 \uff12\n0 1\n2 3\n", "graph \u00b2 1\n0 1\n", f"graph 4 2\n0 1\n2 {'9' * 5000}\n", f"graph {'9' * 5000} 0\n",
+]
+
+
+@pytest.mark.parametrize("text", NEAR_CANONICAL)
+def test_graph_reader_matches_the_per_line_reference(text):
+    assert _outcome(parse_graph, text) == _outcome(_reference_parse_graph, text)
+
+
+def test_written_graph_files_take_the_whole_block_reader(monkeypatch, capsys):
+    # Whatever serialize_graph and `gen random` write is canonical, so the
+    # per-line reader, which starts with io._lines, must never run on it.
+    graphs = [Graph(0, []), Graph(3, []), Graph(4, [(3, 0), (1, 2)]),
+              Graph(3, [(0, 1), (1, 2)], [0.25, 0.5, 0.25]), Graph(2, [], [1.0, 0.0])]
+    written = [serialize_graph(g) for g in graphs]
+    for kind in ("graph", "regular"):
+        argv = ["--kind", kind, "--n", "30", "--m", "70", "--delta", "4", "--seed", "3"]
+        assert main(["gen", "random"] + argv) == 0
+        written.append(capsys.readouterr().out)
+    expected = [_reference_parse_graph(text) for text in written]
+
+    def per_line(text):
+        raise AssertionError("the per-line reader ran on a canonical file")
+
+    monkeypatch.setattr(mio, "_lines", per_line)
+    assert [parse_graph(text) for text in written] == expected
+    assert [g.m for g in expected[-2:]] == [70, 60]
 
 
 def test_id_table_is_bounded_by_the_input(monkeypatch):
-    # A 10^6-vertex header with one edge: the parser's own allocations stay
-    # small (Graph itself, which allocates per vertex, is stubbed out here).
+    # A 10^6-vertex header with one edge, and a header declaring 10^12
+    # edges: the parser's own allocations stay small (Graph itself, which
+    # allocates per vertex, is stubbed out here).
     monkeypatch.setattr(mio, "Graph", lambda n, edges, weights: (n, edges, weights))
     tracemalloc.start()
     try:
         parsed = parse_graph(f"graph {MAX_GRAPH_VERTICES} 1\n0 {MAX_GRAPH_VERTICES - 1}\n")
+        with pytest.raises(ParseError, match="line 1: expected 1000000000000 edge lines"):
+            parse_graph("graph 3 1000000000000\n0 1\n")  # nothing sized by m
         with pytest.raises(ParseError, match="cannot be covered"):
             parse_setcover(f"setcover {MAX_GRAPH_VERTICES} 1\n0 1\n")
         peak = tracemalloc.get_traced_memory()[1]
