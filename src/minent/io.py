@@ -103,7 +103,7 @@ def _weights(ln: int, raw: str, n: int) -> list[float]:
 
 
 def _canonical_graph(text: str):
-    """parse_graph's result for a canonical file, read as one block: a first
+    r"""parse_graph's result for a canonical file, read as one block: a first
     line `graph <n> <m>` with single spaces, m lines `<digits> <digits>\n`,
     then at most one `weights` line. None for any other file, whose faults
     only the per-line reader names. Deleting the ASCII digits must leave the
@@ -111,7 +111,8 @@ def _canonical_graph(text: str):
     holds two digit runs, and a huge m is refused by a length before
     anything is sized by it."""
     head, _, body = text.partition("\n")
-    parts = head.split(" ")  # a short header keeps int() below its digit limit
+    parts = head.split(" ")
+    # (a header under 40 characters keeps int() below its digit limit)
     if not (len(parts) == 3 and parts[0] == "graph" and len(head) < 40
             and parts[1].isdecimal() and parts[2].isdecimal()):
         return None
@@ -124,9 +125,10 @@ def _canonical_graph(text: str):
     toks = block.split()
     if len(toks) != 2 * m:
         return None
+    read = _id_reader(n, text)
     try:
-        ids = iter(_id_reader(n, text)(toks))
-    except ValueError:
+        ids = iter(read(toks))
+    except ValueError:  # past int()'s digit limit: the per-line reader names the line
         return None
     edges = list(zip(ids, ids))
     weights = _weights(m + 2, rest[0], n) if rest else None

@@ -181,6 +181,38 @@ ODD_TOKENS = ["0", "1", "2", "3", "5", "-1", "-0", "007", "+3", "+0", "1_0", "\u
               "\uff13", "\u0661\u0662", "1.0", "0x1", "1e0", "x", "_1", "", "9" * 30]
 
 
+# Graph files at or next to the canonical form that parse_graph reads as one
+# block: each must be read, or refused with the message and line, that the
+# per-line reference gives.
+NEAR_CANONICAL = [
+    # line ends, spaces and blank lines
+    "graph 4 2\n0 1\n2 3\n", "graph 4 2\n0 1\n2 3", "graph 4 2\r\n0 1\r\n2 3\r\n",
+    "graph 4 2\n0 1\r\n2 3\n", "graph 4 2\n0 1\n2 3 \n", "graph 4 2 \n0 1\n2 3\n",
+    "\ngraph 4 2\n0 1\n2 3\n", "graph 4 2\n\n0 1\n2 3\n", "graph  4 2\n0 1\n2 3\n",
+    "graph 4 2\n0  1\n2 3\n", "graph 4 2\n0 1\n 3\n", "graph 4 2\n0 1\n2 \n",
+    "graph 4 2\n0 1\n2 3\n1\n", "graph 4 2\n0 1 2\n3\n", "graph 4 2\n0 1\n2 3\n\n",
+    "graph 4 2\n0 1\x0c2 3\n", "graph 4 2\n0 1\n", "graph 4 1\n0 1\n2 3\n",
+    "graph 04 2\n0 1\n007 3\n",
+    # m = 0 and weights lines
+    "graph 4 0\n", "graph 4 0", "graph 0 0\n", "graph 4 0\n\n", "graph 4 0\n0 1\n",
+    "graph 3 0\nweights 0.25 0.5 0.25\n", "graph 3 1\n0 1\nweights 0.25 0.5 0.25\n",
+    "graph 3 1\n0 1\nweights 0.25 0.5 0.25", "graph 3 1\n0 1\nweights 0.25 0.5\n",
+    "graph 3 1\n0 1\nweights 0.25 0.5 x\n", "graph 3 1\n0 1\nweights 0.5 0.5 0.5\n",
+    "graph 3 1\n0 1\nweights 0.25 0.5 0.25\n\n", "graph 3 1\n0 1\nweights 0.25 0.5\r0.25\n",
+    "graph 3 1\n0 1\nweights 0.25 0.5 0.25\n1 2\n", "graph 3 1\n0 1\nwx\n",
+    "graph 3 1\n0 w\nweights 0.25 0.5 0.25\n", "graph 3 0\n1weights 0.25 0.5 0.25\n",
+    # ids >= n, self-loops, duplicate edges, and sizes past the caps
+    "graph 4 2\n0 1\n2 4\n", "graph 4 2\n0 1\n9 2\n", "graph 4 2\n0 1\n1 0\n",
+    "graph 4 2\n0 1\n0 1\n", "graph 4 2\n3 3\n0 1\n", "graph 3 1000000000000\n0 1\n",
+    f"graph {MAX_GRAPH_VERTICES + 1} 1\n0 1\n",
+    f"graph {MAX_GRAPH_VERTICES} 1\n0 {MAX_GRAPH_VERTICES}\n",
+    # digits int() reads besides ASCII, one it rejects, and its digit limit
+    "graph 4 2\n0 1\n\u0663 2\n", "graph 4 2\n0 1\n2 \uff13\n", "graph \u0664 2\n0 1\n2 3\n",
+    "graph 4 \uff12\n0 1\n2 3\n", "graph \u00b2 1\n0 1\n",
+    f"graph 4 2\n0 1\n2 {'9' * 5000}\n", f"graph {'9' * 5000} 0\n",
+]
+
+
 def test_parsers_match_int_parse_on_odd_tokens():
     for a, b in itertools.product(ODD_TOKENS, repeat=2):
         _assert_parsers_agree(f"graph 4 2\n0 1\n{a} {b}\n")
@@ -193,6 +225,8 @@ def test_parsers_match_int_parse_on_odd_tokens():
     # Separators other than one space, and 2m tokens spread unevenly.
     for edges in ("0\t1\t2\n5", "0 1 2\n5", "0\t1\n2\u00a05"):
         _assert_parsers_agree(f"graph 6 2\n{edges}\n")
+    for text in NEAR_CANONICAL:
+        _assert_parsers_agree(text)
 
 
 # Tokens a mutation may write: small ints in all their spellings, the odd
@@ -221,42 +255,12 @@ def test_parsers_match_int_parse_on_mutated_files(text, data):
     _assert_parsers_agree(mutated + eol if text.endswith("\n") else mutated)
 
 
-# Graph files at or next to the canonical form that parse_graph reads as one
-# block: each must be read, or refused with the message and line, that the
-# per-line reference gives.
-NEAR_CANONICAL = [
-    "graph 4 2\n0 1\n2 3\n", "graph 4 2\n0 1\n2 3", "graph 4 2\r\n0 1\r\n2 3\r\n",
-    "graph 4 2\n0 1\r\n2 3\n", "graph 4 2\n0 1\n2 3 \n", "graph 4 2 \n0 1\n2 3\n",
-    "\ngraph 4 2\n0 1\n2 3\n", "graph 4 2\n\n0 1\n2 3\n", "graph  4 2\n0 1\n2 3\n",
-    "graph 4 2\n0  1\n2 3\n", "graph 4 2\n0 1\n 3\n", "graph 4 2\n0 1\n2 \n",
-    "graph 4 2\n0 1\n2 3\n1\n", "graph 4 2\n0 1 2\n3\n", "graph 4 2\n0 1\n2 3\n\n", "graph 4 2\n0 1\x0c2 3\n",
-    "graph 4 2\n0 1\n", "graph 4 1\n0 1\n2 3\n", "graph 04 2\n0 1\n007 3\n",
-    "graph 4 0\n", "graph 4 0", "graph 0 0\n", "graph 4 0\n\n", "graph 4 0\n0 1\n",
-    "graph 3 0\nweights 0.25 0.5 0.25\n", "graph 3 1\n0 1\nweights 0.25 0.5 0.25\n",
-    "graph 3 1\n0 1\nweights 0.25 0.5 0.25", "graph 3 1\n0 1\nweights 0.25 0.5\n",
-    "graph 3 1\n0 1\nweights 0.25 0.5 x\n", "graph 3 1\n0 1\nweights 0.5 0.5 0.5\n",
-    "graph 3 1\n0 1\nweights 0.25 0.5 0.25\n\n", "graph 3 1\n0 1\nweights 0.25 0.5\r0.25\n",
-    "graph 3 1\n0 1\nweights 0.25 0.5 0.25\n1 2\n", "graph 3 1\n0 1\nwx\n",
-    "graph 3 1\n0 w\nweights 0.25 0.5 0.25\n", "graph 3 0\n1weights 0.25 0.5 0.25\n",
-    "graph 4 2\n0 1\n2 4\n", "graph 4 2\n0 1\n9 2\n", "graph 4 2\n0 1\n1 0\n",
-    "graph 4 2\n0 1\n0 1\n", "graph 4 2\n3 3\n0 1\n", f"graph {MAX_GRAPH_VERTICES + 1} 1\n0 1\n",
-    f"graph {MAX_GRAPH_VERTICES} 1\n0 {MAX_GRAPH_VERTICES}\n", "graph 3 1000000000000\n0 1\n",
-    "graph 4 2\n0 1\n\u0663 2\n", "graph 4 2\n0 1\n2 \uff13\n", "graph \u0664 2\n0 1\n2 3\n",
-    "graph 4 \uff12\n0 1\n2 3\n", "graph \u00b2 1\n0 1\n", f"graph 4 2\n0 1\n2 {'9' * 5000}\n", f"graph {'9' * 5000} 0\n",
-]
-
-
-@pytest.mark.parametrize("text", NEAR_CANONICAL)
-def test_graph_reader_matches_the_per_line_reference(text):
-    assert _outcome(parse_graph, text) == _outcome(_reference_parse_graph, text)
-
-
 def test_written_graph_files_take_the_whole_block_reader(monkeypatch, capsys):
     # Whatever serialize_graph and `gen random` write is canonical, so the
     # per-line reader, which starts with io._lines, must never run on it.
-    graphs = [Graph(0, []), Graph(3, []), Graph(4, [(3, 0), (1, 2)]),
-              Graph(3, [(0, 1), (1, 2)], [0.25, 0.5, 0.25]), Graph(2, [], [1.0, 0.0])]
-    written = [serialize_graph(g) for g in graphs]
+    samples = [Graph(0, []), Graph(3, []), Graph(4, [(3, 0), (1, 2)]),
+               Graph(3, [(0, 1), (1, 2)], [0.25, 0.5, 0.25]), Graph(2, [], [1.0, 0.0])]
+    written = [serialize_graph(g) for g in samples]
     for kind in ("graph", "regular"):
         argv = ["--kind", kind, "--n", "30", "--m", "70", "--delta", "4", "--seed", "3"]
         assert main(["gen", "random"] + argv) == 0
