@@ -62,9 +62,8 @@ def _cmd_orient(args, text: str, report: dict) -> dict:
     from . import orientation
     g = _load_graph_like(text)
     if args.action == "estimate":
-        s = orientation.sample_count(args.epsilon, args.delta, g.max_degree())
-        h = orientation.estimate_entropy(g, args.epsilon, args.delta, args.seed,
-                                         one_sided=args.one_sided)
+        h, s = orientation.estimate_entropy(g, args.epsilon, args.delta, args.seed,
+                                            one_sided=args.one_sided)
         report.update(H=h, s=s, epsilon=args.epsilon, delta=args.delta)
         return {}
     o = (orientation.biased_orientation(g) if args.action == "biased"
@@ -84,7 +83,7 @@ def _cmd_color(args, text: str, report: dict) -> dict:
         col, layers = coloring.interval_mec(iv)
         h = coloring.coloring_entropy(g, col)
         report.update(entropy_bits=h,
-                      classes=col.canonical().classes(),
+                      classes=col.classes(),
                       layers=[list(s) for s in layers.layers],
                       lower_bound_H=layers.lower_bound_H)
         return {"within_one_bit": h <= layers.lower_bound_H + 1.0 + 1e-9}
@@ -96,7 +95,7 @@ def _cmd_color(args, text: str, report: dict) -> dict:
     else:  # exact
         col = coloring.exact_coloring(g)
     report.update(entropy_bits=coloring.coloring_entropy(g, col),
-                  classes=col.canonical().classes())
+                  classes=col.classes())
     return {}
 
 
@@ -162,7 +161,7 @@ def _cmd_app(args, text: str, report: dict) -> dict:
     report.update(edges=[[table.x_labels[u], table.x_labels[v]] for u, v in g.edges],
                   marginals=list(g.weights),
                   classes=[[table.x_labels[v] for v in cls]
-                           for cls in col.canonical().classes()],
+                           for cls in col.classes()],
                   rate_bits=coloring.coloring_entropy(g, col))
     return {}
 

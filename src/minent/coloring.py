@@ -30,21 +30,12 @@ class Coloring:
             raise ValidationError("colors must be positive integers")
         object.__setattr__(self, "colors", colors)
 
-    def canonical(self) -> "Coloring":
-        """Relabel colors to 1..t in order of first appearance."""
-        relabel: dict[int, int] = {}
-        out = []
-        for c in self.colors:
-            if c not in relabel:
-                relabel[c] = len(relabel) + 1
-            out.append(relabel[c])
-        return Coloring(out)
-
     def classes(self) -> list[list[int]]:
+        """The color classes, each ascending, ordered by their first vertex."""
         by_color: dict[int, list[int]] = {}
         for v, c in enumerate(self.colors):
             by_color.setdefault(c, []).append(v)
-        return [by_color[c] for c in sorted(by_color)]
+        return list(by_color.values())
 
 
 @dataclass(frozen=True)
@@ -80,8 +71,6 @@ def exact_mis(g: Graph, vertices: Optional[Sequence[int]] = None) -> tuple[int, 
     n = len(vs)
     if n > MIS_CAP:
         raise BudgetError(f"exact MIS oracle limited to {MIS_CAP} vertices")
-    if n == 0:
-        return ()
     w = [1.0] * n if g.weights is None else [g.weights[v] for v in vs]
     pos = {v: i for i, v in enumerate(vs)}
     adj = [sum(1 << pos[u] for u in g.adjacency[v] if u in pos) for v in vs]

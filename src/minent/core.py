@@ -63,7 +63,7 @@ class Graph:
     precomputed and sorted so solvers get O(deg) neighborhood scans.
     """
 
-    __slots__ = ("n", "edges", "weights", "_adj", "_max_degree")
+    __slots__ = ("n", "edges", "weights", "_adj")
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]],
                  weights: Optional[Sequence[float]] = None):
@@ -101,7 +101,6 @@ class Graph:
         for a in adj:
             a.sort()
         self._adj = tuple(map(tuple, adj))
-        self._max_degree = None
 
     @property
     def m(self) -> int:
@@ -113,9 +112,7 @@ class Graph:
         return self._adj
 
     def max_degree(self) -> int:
-        if self._max_degree is None:  # one scan per graph: it never changes
-            self._max_degree = max(map(len, self._adj), default=0)
-        return self._max_degree
+        return max(map(len, self._adj), default=0)
 
     def complement(self) -> "Graph":
         present = set(self.edges)

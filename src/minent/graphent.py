@@ -20,14 +20,13 @@ MAX_FW_STEPS = 200_000  # Frank-Wolfe steps before ConvergenceError
 
 @dataclass(frozen=True)
 class EntropyWitness:
-    """Convex combination q over maximal independent sets, its per-vertex
-    marginals p (a point of the stable set polytope), and the objective
-    value -(1/n) sum log2 p_v in bits."""
+    """Convex combination q over maximal independent sets and its per-vertex
+    marginals p, a point of the stable set polytope; graph_entropy's H is
+    -(1/n) sum log2 p_v in bits."""
 
     sets: tuple[tuple[int, ...], ...]
     q: tuple[float, ...]
     p: tuple[float, ...]
-    value: float
 
 
 def _bits(mask: int):
@@ -191,10 +190,9 @@ def graph_entropy(g: Graph, tol: float = 1e-6) -> tuple[float, EntropyWitness]:
                                value(p), gap)
     if gap > tol:
         raise ConvergenceError("graph entropy solver stalled", value(p), gap)
-    h = value(p)
     witness = EntropyWitness(tuple(sets), tuple(float(x) for x in q),
-                             tuple(float(x) for x in p), h)
-    return h, witness
+                             tuple(float(x) for x in p))
+    return value(p), witness
 
 
 def splitting_gap(g: Graph, tol: float = 1e-6) -> float:

@@ -111,20 +111,21 @@ def local_indegree(g: Graph, v: int) -> int:
 
 
 def estimate_entropy(g: Graph, epsilon: float, delta: float, seed: int = 0,
-                     one_sided: bool = False, full_sweep: bool = False) -> float:
-    """Sampling estimate of the entropy of the preferred biased orientation:
-    H = log2 m - (n/(s m)) * sum_i rho(v_i) log2 rho(v_i), with vertices
-    sampled uniformly with replacement. `full_sweep` visits every vertex
-    exactly once instead, making the estimate exact; epsilon and delta are
-    checked by `sample_count` either way. The one-sided variant returns
-    H + epsilon. Each distinct sampled vertex's rho is read off its
-    neighbors' degrees once, so the estimate costs O(s + min(s, n) Delta)."""
+                     one_sided: bool = False, full_sweep: bool = False) -> tuple[float, int]:
+    """Sampling estimate (H, s) of the entropy of the preferred biased
+    orientation: H = log2 m - (n/(s m)) * sum_i rho(v_i) log2 rho(v_i), over
+    s = `sample_count` vertices sampled uniformly with replacement.
+    `full_sweep` visits every vertex exactly once instead (s = n), making
+    the estimate exact. Either way `sample_count` checks epsilon, delta and
+    Delta first, then m >= n is checked. The one-sided variant adds epsilon
+    to H. Each distinct sampled vertex's rho is read off its neighbors'
+    degrees once, so the estimate costs O(s + min(s, n) Delta)."""
     n, m = g.n, g.m
-    if m < n or n < 1:
-        raise ValidationError("estimator requires at least as many edges as vertices")
     s = sample_count(epsilon, delta, g.max_degree())
+    if m < n:
+        raise ValidationError("estimator requires at least as many edges as vertices")
     if full_sweep:
-        samples = range(n)
+        s, samples = n, range(n)
     else:
         # randrange(n)'s rejection draw (CPython's _randbelow_with_getrandbits),
         # without its per-call overhead: the same stream, in under half the time
@@ -141,5 +142,5 @@ def estimate_entropy(g: Graph, epsilon: float, delta: float, seed: int = 0,
             rho = local_indegree(g, v)
             terms[v] = _xlog2x(rho)
     acc = math.fsum(map(terms.__getitem__, samples))
-    h = math.log2(m) - (n / (len(samples) * m)) * acc
-    return h + epsilon if one_sided else h
+    h = math.log2(m) - (n / (s * m)) * acc
+    return (h + epsilon if one_sided else h), s

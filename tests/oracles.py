@@ -126,7 +126,7 @@ def jk_rows(k: int) -> list[list[int]]:
 
 
 def class_counts(c: Coloring) -> list[int]:
-    """The sizes of c's colour classes, in increasing colour order."""
+    """The sizes of c's colour classes, in the order of their first vertex."""
     return [len(cls) for cls in c.classes()]
 
 

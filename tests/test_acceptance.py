@@ -98,10 +98,10 @@ def test_criterion_4_sampling_estimator():
     opt = orr.orientation_entropy(orr.exact_orientation(g))
     good = 0
     for seed in range(100):
-        h = orr.estimate_entropy(g, 0.5, 0.05, seed=seed, one_sided=True)
+        h, _ = orr.estimate_entropy(g, 0.5, 0.05, seed=seed, one_sided=True)
         if opt - 1e-9 <= h <= opt + 1.5:
             good += 1
-    sweep = orr.estimate_entropy(g, 0.5, 0.05, full_sweep=True)
+    sweep, _ = orr.estimate_entropy(g, 0.5, 0.05, full_sweep=True)
     biased = orr.orientation_entropy(orr.biased_orientation(g))
     ok = good >= 95 and abs(sweep - biased) <= 1e-9
     _verdict(4, ok, f"one-sided estimate in [OPT, OPT+1.5] in {good}/100 runs; "

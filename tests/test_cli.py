@@ -353,6 +353,107 @@ def test_cli_orient_output_bytes(tmp_path, capsys, monkeypatch, action):
                        "indegrees: [0, 3, 0, 3, 0]\nseed: 0\ntiming_ms: T\n")
 
 
+@pytest.mark.parametrize("extra, fields", [
+    ([], {"H": "1.2799784058160126", "delta": "0.05", "epsilon": "0.5", "s": "167",
+          "seed": "0"}),
+    (["--seed", "3", "--one-sided", "--epsilon", "0.25", "--delta", "0.1"],
+     {"H": "1.3874413976640116", "delta": "0.1", "epsilon": "0.25", "s": "542",
+      "seed": "3"}),
+], ids=["default", "one-sided"])
+def test_cli_orient_estimate_output_bytes(tmp_path, capsys, monkeypatch, extra, fields):
+    """The estimate and its Hoeffding sample count s, in both report modes."""
+    (tmp_path / "g.txt").write_text(ORIENT_GRAPH)
+    monkeypatch.chdir(tmp_path)
+    argv = ["orient", "estimate", "--input", "g.txt"] + extra
+    outs = _timed_outputs(capsys, argv)
+    f = fields
+    assert outs[0] == (
+        f'{{"H": {f["H"]}, "checks": {{}}, "command": "{" ".join(argv)} --json", '
+        f'"delta": {f["delta"]}, "epsilon": {f["epsilon"]}, "input_digest": '
+        '"cd8483cd418403820cd2de67341b94452604fd68585777748d68efe97ecbb920", '
+        f'"s": {f["s"]}, "seed": {f["seed"]}, "timing_ms": T}}\n')
+    assert outs[1] == (f"H: {f['H']}\nchecks: {{}}\ndelta: {f['delta']}\n"
+                       f"epsilon: {f['epsilon']}\ns: {f['s']}\nseed: {f['seed']}\n"
+                       "timing_ms: T\n")
+
+
+# The solvers colour these inputs so that colour numbers do not follow the
+# first vertex of each class: the greedy colourings give vertex 0 colour 2,
+# and interval_mec colours the intervals (2, 3, 1, 1) from layer 2's odd
+# colour down. The reports list classes by their first vertex all the same.
+# exact_coloring's vector is canonical, so its colours already follow it.
+COLOR_GRAPH = "graph 5 5\n0 1\n0 2\n0 3\n0 4\n1 2\n"
+COLOR_INTERVALS = "intervals 4\n5/1 9/1\n1/1 6/1\n2/1 5/1\n6/1 7/1\n"
+COLOR_TABLE = "x,0,1\na,0.1,0.1\nb,0.4,0\nc,0,0.4\n"
+
+
+@pytest.mark.parametrize("action", ["greedy", "greedy-approx", "exact"])
+def test_cli_color_output_bytes(tmp_path, capsys, monkeypatch, action):
+    (tmp_path / "g.txt").write_text(COLOR_GRAPH)
+    monkeypatch.chdir(tmp_path)
+    outs = _timed_outputs(capsys, ["color", action, "--input", "g.txt"])
+    assert outs[0] == (
+        '{"checks": {}, "classes": [[0], [1, 3, 4], [2]], '
+        f'"command": "color {action} --input g.txt --json", '
+        '"entropy_bits": 1.3709505944546685, "input_digest": '
+        '"0f8c7349482452451c1daec45527a75e6741b88a1c50d92079319ce29de908aa", '
+        '"seed": 0, "timing_ms": T}\n')
+    assert outs[1] == ("checks: {}\nclasses: [[0], [1, 3, 4], [2]]\n"
+                       "entropy_bits: 1.3709505944546685\nseed: 0\ntiming_ms: T\n")
+
+
+def test_cli_color_interval_output_bytes(tmp_path, capsys, monkeypatch):
+    (tmp_path / "iv.txt").write_text(COLOR_INTERVALS)
+    monkeypatch.chdir(tmp_path)
+    outs = _timed_outputs(capsys, ["color", "interval", "--input", "iv.txt"])
+    assert outs[0] == (
+        '{"checks": {"within_one_bit": true}, "classes": [[0], [1], [2, 3]], '
+        '"command": "color interval --input iv.txt --json", "entropy_bits": 1.5, '
+        '"input_digest": "16e549729f32e65848c8a337b6cbd1eeeba61a87203fe6160f3c772c980f9657", '
+        '"layers": [[2, 3], [0, 1]], "lower_bound_H": 1.0, "seed": 0, "timing_ms": T}\n')
+    assert outs[1] == ("checks: {'within_one_bit': True}\nclasses: [[0], [1], [2, 3]]\n"
+                       "entropy_bits: 1.5\nlayers: [[2, 3], [0, 1]]\nlower_bound_H: 1.0\n"
+                       "seed: 0\ntiming_ms: T\n")
+
+
+@pytest.mark.parametrize("extra", [[], ["--color", "exact"]], ids=["greedy", "exact"])
+def test_cli_app_confusability_output_bytes(tmp_path, capsys, monkeypatch, extra):
+    # greedy colours {b, c} first (mass 0.8 against a's 0.2)
+    (tmp_path / "t.csv").write_text(COLOR_TABLE)
+    monkeypatch.chdir(tmp_path)
+    argv = ["app", "confusability", "--input", "t.csv"] + extra
+    outs = _timed_outputs(capsys, argv)
+    assert outs[0] == (
+        '{"checks": {}, "classes": [["a"], ["b", "c"]], '
+        f'"command": "{" ".join(argv)} --json", '
+        '"edges": [["a", "b"], ["a", "c"]], "input_digest": '
+        '"58cf040247146d091f62f73990e84086a9e1acc0dca44884cf5d473d27135925", '
+        '"marginals": [0.2, 0.4, 0.4], "rate_bits": 0.7219280948873623, '
+        '"seed": 0, "timing_ms": T}\n')
+    assert outs[1] == ("checks: {}\nclasses: [['a'], ['b', 'c']]\n"
+                       "edges: [['a', 'b'], ['a', 'c']]\nmarginals: [0.2, 0.4, 0.4]\n"
+                       "rate_bits: 0.7219280948873623\nseed: 0\ntiming_ms: T\n")
+
+
+@pytest.mark.parametrize("argv, text, err", [
+    (["orient", "estimate"], "graph 3 0\n", "max degree must be >= 1"),
+    (["orient", "estimate"], "graph 0 0\n", "max degree must be >= 1"),
+    (["orient", "estimate"], "graph 3 2\n0 1\n1 2\n",
+     "estimator requires at least as many edges as vertices"),
+    (["orient", "estimate", "--epsilon", "1e-4"], "graph 3 2\n0 1\n1 2\n",
+     "epsilon 0.0001 needs 7.38e+08 samples, more than the budget 10000000"),
+    (["orient", "estimate", "--epsilon", "nan"], "graph 3 2\n0 1\n1 2\n",
+     "need finite epsilon > 0 and delta in (0,1)"),
+    (["orient", "exact"], "graph 3 0\n", "graph has no edges to orient"),
+], ids=["estimate-edgeless", "estimate-empty", "estimate-path", "estimate-path-over-budget",
+        "estimate-path-nan-epsilon", "exact-edgeless"])
+def test_cli_orient_refusal_bytes(tmp_path, capsys, argv, text, err):
+    """The estimator checks epsilon, delta and the degree before m >= n."""
+    f = tmp_path / "g.txt"
+    f.write_text(text)
+    assert _exit_and_streams(capsys, argv + ["--input", str(f)]) == (2, "", f"error: {err}\n")
+
+
 SETCOVER_ROUNDS = "[[4, [0, 1, 2, 4, 5, 6, 7, 9]], [0, [3]], [3, [8]]]"
 
 

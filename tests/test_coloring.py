@@ -72,10 +72,29 @@ def test_coloring_entropy_rejects_improper():
         coloring_entropy(P3, Coloring([1, 1, 1]))
 
 
-def test_coloring_canonical():
-    c = Coloring([3, 7, 3, 1]).canonical()
-    assert c.colors == (1, 2, 1, 3)
-    assert c.classes() == [[0, 2], [1], [3]]
+def test_coloring_classes_follow_their_first_vertex():
+    # colour 3 comes first, then 7, then 1: classes go by first vertex, not colour
+    assert Coloring([3, 7, 3, 1]).classes() == [[0, 2], [1], [3]]
+    assert Coloring([2, 1, 1, 2, 5]).classes() == [[0, 3], [1, 2], [4]]
+
+
+def _relabelled_sorted_classes(colors):
+    """Classes as the reports listed them before: relabel the colours 1..t
+    in order of first appearance, then list the classes by colour."""
+    relabel: dict[int, int] = {}
+    by_color: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        by_color.setdefault(relabel.setdefault(c, len(relabel) + 1), []).append(v)
+    return [by_color[c] for c in sorted(by_color)]
+
+
+def test_coloring_classes_match_relabel_then_sort():
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randrange(0, 30)
+        palette = rng.sample(range(1, 1000), rng.randrange(1, 8))  # gaps between colours
+        colors = [rng.choice(palette) for _ in range(n)]  # and repeats within them
+        assert Coloring(colors).classes() == _relabelled_sorted_classes(colors), colors
 
 
 def test_exact_mis():
@@ -83,6 +102,13 @@ def test_exact_mis():
     k4 = Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
     assert exact_mis(k4) == (0,)
     assert exact_mis(C5) == (0, 2)
+
+
+def test_exact_mis_of_no_vertices_is_empty():
+    # the search itself returns () when there is nothing to choose
+    assert exact_mis(Graph(0, [])) == ()
+    assert exact_mis(P3, []) == ()
+    assert exact_mis(Graph(2, [(0, 1)], weights=[0.5, 0.5]), []) == ()
 
 
 def test_exact_mis_weighted():
@@ -300,7 +326,7 @@ def test_greedy_approx_coloring_on_a_large_clique_is_fast():
 def test_greedy_coloring_p3_is_optimal():
     c = greedy_coloring(P3)
     assert coloring_entropy(P3, c) == pytest.approx(0.9183, abs=1e-3)
-    assert c.canonical().classes() == [[0, 2], [1]]
+    assert c.classes() == [[0, 2], [1]]
 
 
 def test_greedy_coloring_edgeless():

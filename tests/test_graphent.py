@@ -252,7 +252,7 @@ def test_witness_feasibility():
         for v in range(g.n):
             pv = math.fsum(q for s, q in zip(w.sets, w.q) if v in s)
             assert pv == pytest.approx(w.p[v], abs=1e-9)
-        assert w.value == pytest.approx(
+        assert h == pytest.approx(
             -math.fsum(math.log2(p) for p in w.p) / g.n, abs=1e-9)
 
 

@@ -144,7 +144,8 @@ def test_sample_count_is_positive_and_needs_finite_epsilon():
         with pytest.raises(ValidationError):
             sample_count(eps, 0.05, 4)
     g = random_regular_graph(8, 4, seed=3)
-    assert math.isfinite(estimate_entropy(g, 1e300, 0.05))
+    h, s = estimate_entropy(g, 1e300, 0.05)
+    assert math.isfinite(h) and s == 1
 
 
 def test_sample_count_budget():
@@ -183,17 +184,19 @@ def test_estimator_requires_m_at_least_n():
 def test_estimator_full_sweep_matches_biased_entropy():
     for seed in range(10):
         g = random_regular_graph(10, 3, seed=seed)
-        h = estimate_entropy(g, 0.5, 0.05, full_sweep=True)
+        h, s = estimate_entropy(g, 0.5, 0.05, full_sweep=True)
         ref = orientation_entropy(biased_orientation(g))
         assert h == pytest.approx(ref, abs=1e-9)
+        assert s == g.n
 
 
 def test_estimator_deterministic_per_seed():
     g = random_regular_graph(10, 3, seed=1)
-    h = estimate_entropy(g, 0.5, 0.05, seed=42)
-    assert estimate_entropy(g, 0.5, 0.05, seed=42) == h
-    assert estimate_entropy(g, 0.5, 0.05, seed=42, one_sided=True) == pytest.approx(
-        h + 0.5, abs=1e-12)
+    h, s = estimate_entropy(g, 0.5, 0.05, seed=42)
+    assert estimate_entropy(g, 0.5, 0.05, seed=42) == (h, s)
+    h1, s1 = estimate_entropy(g, 0.5, 0.05, seed=42, one_sided=True)
+    assert h1 == pytest.approx(h + 0.5, abs=1e-12)
+    assert s1 == s == sample_count(0.5, 0.05, g.max_degree())
 
 
 def test_local_indegree_matches_global():
@@ -215,7 +218,7 @@ def test_estimator_inner_sum_unbiased():
     seeds = 10_000
     draws = []
     for seed in range(seeds):
-        h = estimate_entropy(g, eps, delta, seed=seed)
+        h, _ = estimate_entropy(g, eps, delta, seed=seed)
         draws.append((math.log2(m) - h) * s * m / n)  # recover the inner sum
     mean = math.fsum(draws) / seeds
     var = math.fsum((x - mean) ** 2 for x in draws) / (seeds - 1)
@@ -274,6 +277,7 @@ def _reference_head(g, u, v):
 
 
 def _reference_estimate(g, epsilon, delta, seed=0, one_sided=False, full_sweep=False):
+    """(H, s) as estimate_entropy returns them, s the number of samples."""
     n, m = g.n, g.m
     if full_sweep:
         samples = list(range(n))
@@ -285,7 +289,7 @@ def _reference_estimate(g, epsilon, delta, seed=0, one_sided=False, full_sweep=F
             for v in samples]
     acc = math.fsum(r * math.log2(r) for r in rhos if r)
     h = math.log2(m) - (n / (len(samples) * m)) * acc
-    return h + epsilon if one_sided else h
+    return (h + epsilon if one_sided else h), len(samples)
 
 
 def _degree_tied_graphs():
