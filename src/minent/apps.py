@@ -51,7 +51,10 @@ class JointTable:
             raise ValidationError("non-finite probability entry")
         if any(p < 0 for row in probs for p in row):
             raise ValidationError("negative probability entry")
-        total = math.fsum(p for row in probs for p in row)
+        try:
+            total = math.fsum(p for row in probs for p in row)
+        except OverflowError:  # finite entries whose sum exceeds the float range
+            total = math.inf
         if abs(total - 1.0) > WEIGHT_TOL:
             raise ValidationError(f"table entries sum to {total}, not 1")
         object.__setattr__(self, "x_labels", x_labels)

@@ -57,10 +57,8 @@ def coloring_entropy(g: Graph, c: Coloring) -> float:
         raise FeasibilityError("coloring length mismatch")
     if not g.is_proper_coloring(c.colors):
         raise FeasibilityError("coloring is not proper")
-    masses = dict.fromkeys(c.colors, 0)
-    for col, w in zip(c.colors, g.weights or (1,) * g.n):
-        masses[col] += w
-    return entropy_of_counts(masses.values())
+    w = g.weights or (1,) * g.n
+    return entropy_of_counts([sum(map(w.__getitem__, cls)) for cls in c.classes()])
 
 
 def exact_mis(g: Graph, vertices: Optional[Sequence[int]] = None) -> tuple[int, ...]:
@@ -79,25 +77,23 @@ def exact_mis(g: Graph, vertices: Optional[Sequence[int]] = None) -> tuple[int, 
         suffix[v] = suffix[v + 1] + w[v]
 
     best_w = -1.0
-    best_set: tuple[int, ...] = ()
+    best_mask = 0
 
-    def recurse(v: int, chosen_mask: int, chosen: list[int], cur: float) -> None:
-        nonlocal best_w, best_set
+    def recurse(v: int, chosen_mask: int, cur: float) -> None:
+        nonlocal best_w, best_mask
         if cur + suffix[v] <= best_w + 1e-12:
             return
         if v == n:
             best_w = cur
-            best_set = tuple(chosen)
+            best_mask = chosen_mask
             return
         if not (adj[v] & chosen_mask):
-            chosen.append(v)
-            recurse(v + 1, chosen_mask | (1 << v), chosen, cur + w[v])
-            chosen.pop()
-        recurse(v + 1, chosen_mask, chosen, cur)
+            recurse(v + 1, chosen_mask | (1 << v), cur + w[v])
+        recurse(v + 1, chosen_mask, cur)
 
-    recurse(0, 0, [], 0.0)
+    recurse(0, 0, 0.0)
     del recurse  # its closure holds it: a cycle that reference counting cannot free
-    return tuple(vs[i] for i in best_set)
+    return tuple(v for i, v in enumerate(vs) if best_mask >> i & 1)
 
 
 def greedy_coloring(g: Graph, oracle: str = "exact") -> Coloring:
@@ -127,9 +123,7 @@ def greedy_coloring(g: Graph, oracle: str = "exact") -> Coloring:
         if degree is None:
             chosen = exact_mis(g, remaining)
         else:
-            alive = [False] * g.n
-            for v in remaining:
-                alive[v] = True
+            alive = [not c for c in colors]
             residual = list(degree)
             heap = [(residual[v], v) for v in remaining]
             heapq.heapify(heap)

@@ -224,25 +224,29 @@ def parse_genotypes(text: str) -> GenotypePanel:
 
 def parse_joint_table(text: str) -> JointTable:
     """CSV with a header row of y labels; each further row starts with the
-    x label followed by the joint probabilities."""
+    x label followed by the joint probabilities. Blank rows are skipped, and
+    a row error names the line the row ends on."""
     import csv
     from io import StringIO
     from .apps import JointTable
-    rows = [r for r in csv.reader(StringIO(text)) if any(c.strip() for c in r)]
+    reader = csv.reader(StringIO(text))
+    try:  # line_num is read after each row: the line that row ends on
+        rows = [(reader.line_num, r) for r in reader if any(c.strip() for c in r)]
+    except csv.Error as exc:
+        raise ParseError(str(exc), reader.line_num)
     if len(rows) < 2:
         raise ParseError("joint table needs a header row and one data row", 1)
-    y_labels = [c.strip() for c in rows[0][1:]]
-    x_labels = []
+    (_, header), *body = rows
+    y_labels = [c.strip() for c in header[1:]]
     probs = []
-    for i, row in enumerate(rows[1:], start=2):
+    for i, row in body:
         if len(row) != len(y_labels) + 1:
             raise ParseError("row width mismatch", i)
-        x_labels.append(row[0].strip())
         try:
             probs.append([float(c) for c in row[1:]])
         except ValueError:
             raise ParseError("non-numeric probability", i)
-    return _build(1, JointTable, x_labels, y_labels, probs)
+    return _build(1, JointTable, [row[0].strip() for _, row in body], y_labels, probs)
 
 
 # ---------------------------------------------------------------------------

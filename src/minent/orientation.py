@@ -86,7 +86,7 @@ def sample_count(epsilon: float, delta: float, max_degree: int) -> int:
         raise ValidationError("need finite epsilon > 0 and delta in (0,1)")
     if max_degree < 1:
         raise ValidationError("max degree must be >= 1")
-    b = max(max_degree * math.log2(max_degree), 1.0)
+    b = max(_xlog2x(max_degree), 1.0)
     denom = 2 * epsilon * epsilon
     count = b * b / denom * math.log(2 / delta) if denom else math.inf
     if not count <= WORK_BUDGET:
@@ -97,15 +97,13 @@ def sample_count(epsilon: float, delta: float, max_degree: int) -> int:
 
 def local_indegree(g: Graph, v: int) -> int:
     """Indegree of v in the biased orientation, computed from v's
-    neighborhood only: neighbor w points to v when (degree, index) is lower
-    at w than at v."""
-    adj = g.adjacency
-    nbrs = adj[v]
-    d = len(nbrs)
+    neighborhood only: neighbor w points to v when its rank, degree * n +
+    index as in `biased_orientation`, is below v's."""
+    adj, n = g.adjacency, g.n
+    rank = len(adj[v]) * n + v
     indeg = 0
-    for w in nbrs:
-        dw = len(adj[w])
-        if dw < d or dw == d and w < v:
+    for w in adj[v]:
+        if len(adj[w]) * n + w < rank:
             indeg += 1
     return indeg
 

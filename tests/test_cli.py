@@ -454,6 +454,28 @@ def test_cli_orient_refusal_bytes(tmp_path, capsys, argv, text, err):
     assert _exit_and_streams(capsys, argv + ["--input", str(f)]) == (2, "", f"error: {err}\n")
 
 
+@pytest.mark.parametrize("argv, text, err", [
+    (["app", "confusability"], "x,0,1\na," + "1" * 200_000 + ",0.5\n",
+     "line 2: field larger than field limit (131072)"),
+    (["app", "confusability"], "x,0\na,1e308\nb,1e308\n",
+     "line 1: table entries sum to inf, not 1"),
+    (["app", "confusability"], "x,0,1\n\n\na,0.5\n", "line 4: row width mismatch"),
+    (["app", "confusability"], "x,0,1\n \na,0.5,0.5\n\nb,0.5,z\n",
+     "line 5: non-numeric probability"),
+    (["app", "confusability"], "x,0,1\n\n",
+     "line 1: joint table needs a header row and one data row"),
+    (["app", "haplotype"], "", "line 1: empty genotype file"),
+    (["color", "interval"], "intervals 1\n0/1 1/2 3\n", "line 2: expected '<lo> <hi>'"),
+], ids=["table-long-field", "table-sum-overflows", "table-row-after-blank-lines",
+        "table-cell-after-blank-lines", "table-header-only", "genotypes-empty",
+        "intervals-three-tokens"])
+def test_cli_input_refusal_bytes(tmp_path, capsys, argv, text, err):
+    """Each outside-input refusal exits 2 naming the line at fault."""
+    f = tmp_path / "input.txt"
+    f.write_text(text)
+    assert _exit_and_streams(capsys, argv + ["--input", str(f)]) == (2, "", f"error: {err}\n")
+
+
 SETCOVER_ROUNDS = "[[4, [0, 1, 2, 4, 5, 6, 7, 9]], [0, [3]], [3, [8]]]"
 
 
@@ -722,6 +744,56 @@ def test_cli_bad_value_exits_2(tmp_path, capsys, argv, data):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+# Valid app inputs, to be mutated as text and then as bytes.
+APP_INPUTS = [
+    ("confusability", "x,0,1\na,0.25,0.25\nb,0.25,0\nc,0,0.25\n"),
+    ("confusability", "x,y0,y1,y2\na,0.1,0.2,0\nb,0,0.3,0.1\nc,0.1,0,0.2\n"),
+    ("haplotype", "01?\n0?1\n110\n"),
+    ("haplotype", "0?1?\n1?0?\n??11\n"),
+]
+
+
+def _mutate(rng, text):
+    """Up to three text mutations (a field past the csv field limit, two
+    cells set to 1e308, blank lines, a dropped comma, a stray quote), then
+    up to two bit flips in the encoded bytes."""
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(5)
+        if kind == 0:
+            at = rng.randrange(len(text) + 1)
+            text = text[:at] + rng.choice("01a") * 140_000 + text[at:]
+        elif kind == 1:
+            spans = [m.span() for m in re.finditer(r"[0-9.?]+", text)]
+            for lo, hi in sorted(rng.sample(spans, min(2, len(spans))), reverse=True):
+                text = text[:lo] + "1e308" + text[hi:]
+        elif kind == 2:
+            starts = [0] + [m.end() for m in re.finditer("\n", text)]
+            at = rng.choice(starts)
+            text = text[:at] + rng.choice(["\n", "\n\n", " \n"]) + text[at:]
+        elif kind == 3 and "," in text:
+            at = rng.choice([m.start() for m in re.finditer(",", text)])
+            text = text[:at] + text[at + 1:]
+        else:
+            at = rng.randrange(len(text) + 1)
+            text = text[:at] + '"' + text[at:]
+    data = bytearray(text.encode())
+    for _ in range(rng.randint(0, 2)):
+        data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+    return bytes(data)
+
+
+def test_mutated_app_inputs_exit_0_or_2(tmp_path, capsys):
+    rng = random.Random(0)
+    f = tmp_path / "input.txt"
+    for case in range(200):
+        action, text = APP_INPUTS[case % len(APP_INPUTS)]
+        data = _mutate(rng, text)
+        f.write_bytes(data)
+        code, _, err = _exit_and_streams(capsys, ["app", action, "--input", str(f)])
+        assert code in (0, 2), (action, data[:200])
+        assert code == 0 or err.startswith("error: "), (action, data[:200], err)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -113,6 +114,29 @@ def test_exact_mis_of_no_vertices_is_empty():
 
 def test_exact_mis_weighted():
     assert exact_mis(Graph(3, P3.edges, weights=[0.1, 0.8, 0.1])) == (1,)
+
+
+def test_exact_mis_matches_enumeration_tie_for_tie():
+    # Over the chosen vertices, the search tries each vertex in before out,
+    # so of the optima it returns the one whose membership vector, in vertex
+    # order, is largest. Weights are multiples of 1/64, so every sum is exact.
+    from minent.io import random_graph
+    rng = random.Random(0)
+    for seed in range(300):
+        n = rng.randrange(1, 10)
+        g = random_graph(n, rng.randrange(n * (n - 1) // 2 + 1), seed=seed)
+        if seed % 2:
+            raw = [rng.choice([0, 1, 1, 2, 3]) for _ in range(n - 1)]
+            raw.append(64 - sum(raw))
+            g = Graph(n, g.edges, [r / 64 for r in raw])
+        vs = sorted(rng.sample(range(n), rng.randrange(n + 1)))
+        weight = g.weights or [1.0] * n
+        best = max((s for k in range(len(vs) + 1) for s in itertools.combinations(vs, k)
+                    if g.is_independent_set(s)),
+                   key=lambda s: (sum(weight[v] for v in s), [v in s for v in vs]))
+        assert exact_mis(g, vs) == best, (seed, vs)
+        if len(vs) == n:
+            assert exact_mis(g) == best
 
 
 def test_exact_mis_budget():
