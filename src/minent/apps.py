@@ -14,6 +14,13 @@ HAPLOTYPE_CAP = 10 ** 5  # most distinct haplotypes haplotype_instance builds
 _DELETE_ALPHABET = str.maketrans("", "", "01?")  # a genotype translates to ""
 
 
+def _bad_character(genotype: str) -> ValidationError:
+    """The refusal of a genotype outside {0, 1, ?}, quoting at most its first
+    40 characters."""
+    quote = repr(genotype[:40]) + ("..." if len(genotype) > 40 else "")
+    return ValidationError(f"invalid genotype character in {quote}")
+
+
 @dataclass(frozen=True)
 class GenotypePanel:
     """Equal-length genotype strings over the alphabet {0, 1, ?}."""
@@ -29,7 +36,7 @@ class GenotypePanel:
             if len(s) != length:
                 raise ValidationError("genotypes must have uniform length")
             if s.translate(_DELETE_ALPHABET):
-                raise ValidationError(f"invalid genotype character in {s!r}")
+                raise _bad_character(s)
         object.__setattr__(self, "genotypes", genotypes)
 
 
@@ -78,7 +85,7 @@ def compatible_haplotypes(genotype: str) -> list[str]:
     genotype whose 2^wildcards alone exceeds HAPLOTYPE_CAP is refused before
     any string is built."""
     if genotype.translate(_DELETE_ALPHABET):
-        raise ValidationError(f"invalid genotype character in {genotype!r}")
+        raise _bad_character(genotype)
     holes = genotype.count("?")
     if 1 << holes > HAPLOTYPE_CAP:
         raise _over_haplotype_cap()

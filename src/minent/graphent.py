@@ -135,7 +135,10 @@ def graph_entropy(g: Graph, tol: float = 1e-6) -> tuple[float, EntropyWitness]:
     """H(G) = min over p in STAB(G) of -(1/n) sum_v log2 p_v, solved by
     pairwise Frank-Wolfe over the simplex of maximal independent sets with a
     line search that bisects the step to float precision; stops when the
-    conditional-gradient duality gap drops below tol (bits)."""
+    conditional-gradient duality gap drops below tol (bits). A step over k
+    sets costs the two dense products inc @ (1/p) and inc.T @ q, a few O(k)
+    in-place passes into buffers allocated once per solve, and line-search
+    terms built in O(|S Δ S'|) from the two swapped sets' bitmasks."""
     import numpy as np  # here: at module level every minent command would load it
     if not 0 < tol < math.inf:
         raise ValidationError("tol must be positive and finite")
@@ -147,44 +150,55 @@ def graph_entropy(g: Graph, tol: float = 1e-6) -> tuple[float, EntropyWitness]:
     inc = np.zeros((k, n))
     inc[np.repeat(np.arange(k), [len(s) for s in sets]),
         np.fromiter(itertools.chain.from_iterable(sets), dtype=np.intp)] = 1.0
+    masks: list[int] = []  # the rows of inc as bitmasks, built at the first line search
 
     q = np.full(k, 1.0 / k)
     p = inc.T @ q  # every vertex is in some maximal IS, so p > 0
     # 0 on the support q > 1e-15 and -inf off it: argmax(grad + off) is the
     # support's first maximum of grad
     off = np.zeros(k)
+    # each step writes into these, allocated once
+    inv_p, grad, shifted = np.empty(n), np.empty(k), np.empty(k)
 
     def value(pv: np.ndarray) -> float:
         return float(-np.log2(pv).sum() / n)
 
     gap = math.inf
     for _ in range(MAX_FW_STEPS):
-        grad = -(inc @ (1.0 / p)) / (n * LN2)  # d value / d q_S, in bits
-        fw = int(np.argmin(grad))
-        gap = float(grad @ q - grad[fw])
+        np.divide(1.0, p, out=inv_p)
+        np.matmul(inc, inv_p, out=grad)
+        np.divide(grad, -(n * LN2), out=grad)  # d value / d q_S, in bits
+        fw = int(grad.argmin())
+        grad_fw = grad.item(fw)
+        gap = float(grad.dot(q)) - grad_fw
         # grad @ q sums k terms of magnitude at most |grad[fw]| (every entry
         # is negative), so a gap below k·eps·|grad[fw]| is rounding: stalled
-        if gap <= tol or gap <= k * sys.float_info.epsilon * -grad[fw]:
+        if gap <= tol or gap <= k * sys.float_info.epsilon * -grad_fw:
             break
-        away = int(np.argmax(grad + off))
+        np.add(grad, off, out=shifted)
+        away = int(shifted.argmax())
         if away == fw:
             break
+        if not masks:  # a solve that stops at its first gap test never reads them
+            masks = [sum(1 << v for v in s) for s in sets]
         # d_p = inc[fw] - inc[away] is +1 on fw ∖ away, -1 on away ∖ fw and
         # 0 elsewhere; both parts are nonempty, since distinct maximal
-        # independent sets are incomparable
-        pl, fw_set, away_set = p.tolist(), set(sets[fw]), set(sets[away])
-        terms = sorted([(v, pl[v], 1.0) for v in fw_set - away_set]
-                       + [(v, pl[v], -1.0) for v in away_set - fw_set])
-        gamma = _line_search(terms, n, float(q[away]))
+        # independent sets are incomparable. The set bits of the masks' xor,
+        # lowest first, are those vertices in order, so no sort is needed.
+        pl, fw_mask = p.tolist(), masks[fw]
+        terms = [(v, pl[v], 1.0 if fw_mask >> v & 1 else -1.0)
+                 for v in _bits(fw_mask ^ masks[away])]
+        q_away = q.item(away)
+        gamma = _line_search(terms, n, q_away)
         if gamma <= 0:
             break
-        q[fw] += gamma
-        q[away] -= gamma
-        if q[away] < 1e-15:
-            q[away] = 0.0
-        for i in (fw, away):
-            off[i] = 0.0 if q[i] > 1e-15 else -math.inf
-        p = inc.T @ q
+        q_fw, q_away = q.item(fw) + gamma, q_away - gamma
+        if q_away < 1e-15:
+            q_away = 0.0
+        q[fw], q[away] = q_fw, q_away
+        off[fw] = 0.0 if q_fw > 1e-15 else -math.inf
+        off[away] = 0.0 if q_away > 1e-15 else -math.inf
+        np.matmul(inc.T, q, out=p)
     else:
         raise ConvergenceError("graph entropy solver did not converge",
                                value(p), gap)

@@ -25,8 +25,10 @@ class ParseError(ValueError):
 
 
 def _lines(text: str) -> tuple[list[int], list[str]]:
-    """(line numbers, stripped texts) of the nonblank lines."""
-    texts = list(map(str.strip, text.splitlines()))
+    """(line numbers, stripped texts) of the nonblank lines. A line ends at
+    "\n" only, as the joint-table reader counts lines; the strip drops the
+    "\r" of a "\r\n" ending."""
+    texts = list(map(str.strip, text.split("\n")))
     return list(compress(count(1), texts)), list(filter(None, texts))
 
 
@@ -118,7 +120,9 @@ def _canonical_graph(text: str):
         return None
     n, m = int(parts[1]), int(parts[2])
     cut = body.find("w")
-    block, rest = (body, []) if cut < 0 else (body[:cut], body[cut:].splitlines())
+    block, rest = body, []
+    if cut >= 0:  # the tail's lines end at "\n" only, as in _lines
+        block, rest = body[:cut], body[cut:].removesuffix("\n").split("\n")
     seps = block.encode().translate(None, b"0123456789")
     if n > MAX_GRAPH_VERTICES or len(seps) != 2 * m or seps != b" \n" * m or len(rest) > 1:
         return None
@@ -219,7 +223,14 @@ def parse_genotypes(text: str) -> GenotypePanel:
     nums, texts = _lines(text)
     if not texts:
         raise ParseError("empty genotype file", 1)
-    return _build(nums[0], GenotypePanel, texts)
+    try:
+        return GenotypePanel(texts)
+    except ValidationError:
+        # the panel checks in order, so the first genotype refused beside the
+        # first one is the one it refused: name that genotype's line
+        for ln, s in zip(nums, texts):
+            _build(ln, GenotypePanel, [texts[0], s])
+        raise
 
 
 def parse_joint_table(text: str) -> JointTable:

@@ -10,19 +10,25 @@ against and which no CLI path or solver runs.
   the left-endpoint sweep that interval_mec's layers use.
 - The haplotype-explains-genotype relation that haplotype_instance's sets
   stand for.
+- graph_entropy's pairwise Frank-Wolfe loop as it stood before its per-step
+  buffers and bitmask terms: fresh arrays each step, Python-set differences
+  and a sort, so the solver can be held to it bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from minent import graphent
 from minent.coloring import Coloring
-from minent.core import WEIGHT_TOL, Graph, ValidationError, _xlog2x
+from minent.core import WEIGHT_TOL, ConvergenceError, Graph, ValidationError, _xlog2x
 from minent.io import _pair
 
 
@@ -152,3 +158,53 @@ def explains(haplotype: str, genotype: str) -> bool:
     """Whether the haplotype agrees with the genotype at every non-? site."""
     return len(haplotype) == len(genotype) and all(
         g == "?" or h == g for h, g in zip(haplotype, genotype))
+
+
+def allocating_graph_entropy(g: Graph, tol: float = 1e-6):
+    """(H, q, p) of graph_entropy's Frank-Wolfe loop written with a fresh
+    array for 1/p, the gradient, grad + off and p at every step, and the
+    line-search terms built from two Python sets and sorted; raises the
+    ConvergenceError graph_entropy raises. Reads graphent.MAX_FW_STEPS at
+    the call, so a patched cap holds here too."""
+    import numpy as np
+    n = g.n
+    sets = graphent.enumerate_maximal_independent_sets(g)
+    k = len(sets)
+    inc = np.zeros((k, n))
+    inc[np.repeat(np.arange(k), [len(s) for s in sets]),
+        np.fromiter(itertools.chain.from_iterable(sets), dtype=np.intp)] = 1.0
+    q = np.full(k, 1.0 / k)
+    p = inc.T @ q
+    off = np.zeros(k)
+
+    def value(pv):
+        return float(-np.log2(pv).sum() / n)
+
+    gap = math.inf
+    for _ in range(graphent.MAX_FW_STEPS):
+        grad = -(inc @ (1.0 / p)) / (n * graphent.LN2)
+        fw = int(np.argmin(grad))
+        gap = float(grad @ q - grad[fw])
+        if gap <= tol or gap <= k * sys.float_info.epsilon * -grad[fw]:
+            break
+        away = int(np.argmax(grad + off))
+        if away == fw:
+            break
+        pl, fw_set, away_set = p.tolist(), set(sets[fw]), set(sets[away])
+        terms = sorted([(v, pl[v], 1.0) for v in fw_set - away_set]
+                       + [(v, pl[v], -1.0) for v in away_set - fw_set])
+        gamma = graphent._line_search(terms, n, float(q[away]))
+        if gamma <= 0:
+            break
+        q[fw] += gamma
+        q[away] -= gamma
+        if q[away] < 1e-15:
+            q[away] = 0.0
+        for i in (fw, away):
+            off[i] = 0.0 if q[i] > 1e-15 else -math.inf
+        p = inc.T @ q
+    else:
+        raise ConvergenceError("graph entropy solver did not converge", value(p), gap)
+    if gap > tol:
+        raise ConvergenceError("graph entropy solver stalled", value(p), gap)
+    return value(p), tuple(q.tolist()), tuple(p.tolist())

@@ -416,6 +416,21 @@ def test_cli_color_interval_output_bytes(tmp_path, capsys, monkeypatch):
                        "seed: 0\ntiming_ms: T\n")
 
 
+def test_cli_crlf_graph_reads_as_its_lf_twin(tmp_path, capsys, monkeypatch):
+    """The text-mode read turns "\r\n" into "\n", and the parsers strip a
+    bare "\r" line end, so both give COLOR_GRAPH's report byte for byte."""
+    (tmp_path / "g.txt").write_bytes(COLOR_GRAPH.replace("\n", "\r\n").encode())
+    assert parse_graph(COLOR_GRAPH.replace("\n", "\r\n")) == parse_graph(COLOR_GRAPH)
+    monkeypatch.chdir(tmp_path)
+    outs = _timed_outputs(capsys, ["color", "greedy", "--input", "g.txt"])
+    assert outs[0] == (
+        '{"checks": {}, "classes": [[0], [1, 3, 4], [2]], '
+        '"command": "color greedy --input g.txt --json", '
+        '"entropy_bits": 1.3709505944546685, "input_digest": '
+        '"0f8c7349482452451c1daec45527a75e6741b88a1c50d92079319ce29de908aa", '
+        '"seed": 0, "timing_ms": T}\n')
+
+
 @pytest.mark.parametrize("extra", [[], ["--color", "exact"]], ids=["greedy", "exact"])
 def test_cli_app_confusability_output_bytes(tmp_path, capsys, monkeypatch, extra):
     # greedy colours {b, c} first (mass 0.8 against a's 0.2)
@@ -465,10 +480,16 @@ def test_cli_orient_refusal_bytes(tmp_path, capsys, argv, text, err):
     (["app", "confusability"], "x,0,1\n\n",
      "line 1: joint table needs a header row and one data row"),
     (["app", "haplotype"], "", "line 1: empty genotype file"),
+    (["app", "haplotype"], "01?\n0?1\n0x1\n", "line 3: invalid genotype character in '0x1'"),
+    (["app", "haplotype"], "01\n0?\n\n011\n", "line 4: genotypes must have uniform length"),
+    (["app", "haplotype"], "0" * 140_000 + "\n" + "0" * 139_999 + "2\n",
+     "line 2: invalid genotype character in '" + "0" * 40 + "'..."),
     (["color", "interval"], "intervals 1\n0/1 1/2 3\n", "line 2: expected '<lo> <hi>'"),
+    (["color", "greedy"], "graph 3 2\n0 1\x0c1 2\n", "line 1: expected 2 edge lines"),
 ], ids=["table-long-field", "table-sum-overflows", "table-row-after-blank-lines",
         "table-cell-after-blank-lines", "table-header-only", "genotypes-empty",
-        "intervals-three-tokens"])
+        "genotypes-bad-character-line-3", "genotypes-wrong-length-line-4",
+        "genotypes-long-quoted-in-part", "intervals-three-tokens", "graph-form-feed-ends-no-line"])
 def test_cli_input_refusal_bytes(tmp_path, capsys, argv, text, err):
     """Each outside-input refusal exits 2 naming the line at fault."""
     f = tmp_path / "input.txt"

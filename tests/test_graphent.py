@@ -11,7 +11,7 @@ from minent.core import BudgetError, Graph, ValidationError, entropy_of_counts, 
 from minent.graphent import (ConvergenceError, enumerate_maximal_independent_sets,
                              graph_entropy, greedy_vs_entropy, splitting_gap)
 from minent.io import random_graph, random_intervals
-from oracles import random_bipartite_graph
+from oracles import allocating_graph_entropy, random_bipartite_graph
 
 C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 C5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -205,6 +205,36 @@ def test_graph_entropy_matches_the_dense_line_search():
         assert max(abs(a - b) for a, b in zip(w.p, p_ref)) <= 1e-9
         assert h == pytest.approx(h_ref, abs=1e-9)
     assert bisecting > 0
+
+
+def test_graph_entropy_matches_the_allocating_loop_bit_for_bit(monkeypatch):
+    """The buffered loop with bitmask terms gives the same H, q and p, or the
+    same ConvergenceError message, value and gap, as the loop that allocated
+    every array and sorted Python-set differences each step. A cap of 150
+    steps keeps the odd cycles and larger graphs fast; about half the solves
+    reach it, and the two tol=1e-300 cases stall before it."""
+    def outcome(solve, g, tol):
+        try:
+            return solve(g, tol)
+        except ConvergenceError as exc:
+            return str(exc), exc.value, exc.gap
+
+    def buffered(g, tol):
+        h, w = graph_entropy(g, tol)
+        return h, w.q, w.p
+
+    cases = [(random_graph(n, 3 * n // 2), 1e-6) for n in range(5, 25)]
+    cases += [(Graph(n, [(i, (i + 1) % n) for i in range(n)]), 1e-6) for n in range(5, 31)]
+    cases += [(random_graph(n, 3 * n // 2).complement(), 1e-6) for n in (8, 12, 16, 20)]
+    cases += [(random_graph(4, 4, seed=0), 1e-300), (random_graph(9, 12, seed=2), 1e-300)]
+    monkeypatch.setattr(graphent, "MAX_FW_STEPS", 150)
+    ends = []
+    for g, tol in cases:
+        new = outcome(buffered, g, tol)
+        assert new == outcome(allocating_graph_entropy, g, tol)
+        ends.append(new[0] if isinstance(new[0], str) else "converged")
+    assert sorted(set(ends)) == ["converged", "graph entropy solver did not converge",
+                                 "graph entropy solver stalled"]
 
 
 def test_pairwise_sum_adds_as_numpy_sums():

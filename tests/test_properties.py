@@ -103,7 +103,7 @@ def test_mutated_input_exits_0_or_2(tmp_path, capsys, case, data):
 
 
 def _reference_records(text, word, fields):
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines()) if ln.strip()]
+    lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.split("\n")) if ln.strip()]
     ln, header = lines[0] if lines else (1, "")
     parts = header.split()
     if parts[:1] != [word] or len(parts) != len(fields) + 1:
