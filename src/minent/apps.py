@@ -8,7 +8,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .core import WEIGHT_TOL, BudgetError, Graph, SetSystem, ValidationError
+from .core import WEIGHT_TOL, WORK_BUDGET, BudgetError, Graph, SetSystem, ValidationError
 
 HAPLOTYPE_CAP = 10 ** 5  # most distinct haplotypes haplotype_instance builds
 _DELETE_ALPHABET = str.maketrans("", "", "01?")  # a genotype translates to ""
@@ -102,10 +102,18 @@ def haplotype_instance(panel: GenotypePanel) -> tuple[SetSystem, list[str]]:
     h explains g exactly when h is one of g's compatible haplotypes, so each
     genotype is expanded once and its index appended to the set of every
     haplotype in its list: O(sum 2^wildcards) rather than a test of every
-    (haplotype, genotype) pair. Sets come out in genotype order."""
+    (haplotype, genotype) pair. Sets come out in genotype order. Once the
+    characters expanded so far, sum 2^wildcards * length, exceed WORK_BUDGET,
+    BudgetError is raised before that genotype's haplotypes are filed."""
     members: defaultdict[str, list[int]] = defaultdict(list)
+    length, chars = len(panel.genotypes[0]), 0
     for i, g in enumerate(panel.genotypes):
-        for h in compatible_haplotypes(g):
+        haplotypes = compatible_haplotypes(g)
+        chars += len(haplotypes) * length
+        if chars > WORK_BUDGET:
+            raise BudgetError(f"genotypes 1-{i + 1} expand to {chars} haplotype characters, "
+                              f"above the budget {WORK_BUDGET}")
+        for h in haplotypes:
             members[h].append(i)
         if len(members) > HAPLOTYPE_CAP:
             raise _over_haplotype_cap()
@@ -116,16 +124,20 @@ def haplotype_instance(panel: GenotypePanel) -> tuple[SetSystem, list[str]]:
 def confusability_graph(t: JointTable) -> Graph:
     """Vertices are the X values, weighted by their marginals; x and x' are
     adjacent when some y has P(x,y) > 0 and P(x',y) > 0. Depends only on the
-    zero pattern of the table."""
+    zero pattern of the table. More than WORK_BUDGET pair checks,
+    nx(nx-1)/2 * ny, raise BudgetError before the first."""
     marg = t.marginal_x()
     for x, p in zip(t.x_labels, marg):
         if p <= 0:
             raise ValidationError(f"symbol {x!r} has zero marginal probability")
-    nx = len(t.x_labels)
+    nx, ny = len(t.x_labels), len(t.y_labels)
+    if (checks := nx * (nx - 1) // 2 * ny) > WORK_BUDGET:
+        raise BudgetError(f"{nx} symbols over {ny} outcomes need {checks} pair checks, "
+                          f"above the budget {WORK_BUDGET}")
     edges = []
     for a in range(nx):
         for b in range(a + 1, nx):
             if any(t.probs[a][y] > 0 and t.probs[b][y] > 0
-                   for y in range(len(t.y_labels))):
+                   for y in range(ny)):
                 edges.append((a, b))
     return Graph(nx, edges, marg)

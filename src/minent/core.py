@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 WEIGHT_TOL = 1e-9
-WORK_BUDGET = 10 ** 7  # most exact-oracle assignments or estimator samples
+WORK_BUDGET = 10 ** 7  # most exact-oracle assignments, estimator samples or built items
 LOG2_E = math.log2(math.e)  # the greedy guarantees' additive constant
 # Largest vertex count a graph header may declare: Graph allocates from it.
 MAX_GRAPH_VERTICES = 10 ** 6
@@ -115,10 +115,16 @@ class Graph:
         return max(map(len, self._adj), default=0)
 
     def complement(self) -> "Graph":
+        """The graph on the same vertices and weights whose edges are the
+        non-edges; more than WORK_BUDGET of them raise BudgetError before
+        any is listed."""
+        n = self.n
+        if (c := n * (n - 1) // 2 - self.m) > WORK_BUDGET:
+            raise BudgetError(f"the complement of a graph on {n} vertices has {c} edges, "
+                              f"above the budget {WORK_BUDGET}")
         present = set(self.edges)
-        edges = [(u, v) for u in range(self.n) for v in range(u + 1, self.n)
-                 if (u, v) not in present]
-        return Graph(self.n, edges, self.weights)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in present]
+        return Graph(n, edges, self.weights)
 
     def is_independent_set(self, vertices) -> bool:
         s = set(vertices)

@@ -10,7 +10,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import BudgetError, ConvergenceError, Graph, ValidationError
+from .core import WORK_BUDGET, BudgetError, ConvergenceError, Graph, ValidationError
 from .coloring import coloring_entropy, exact_coloring, greedy_coloring
 
 LN2 = math.log(2.0)
@@ -39,10 +39,14 @@ def _bits(mask: int):
 
 def enumerate_maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:
     """All maximal independent sets (Bron-Kerbosch with pivoting on the
-    non-adjacency relation), in canonical sorted order."""
+    non-adjacency relation), in canonical sorted order. More than MIS_LIMIT
+    sets, or sets times n above WORK_BUDGET incidence cells, raise
+    BudgetError as the first set past the cap is found, before any is
+    decoded."""
     n = g.n
     if n == 0:
         return []
+    cap = min(MIS_LIMIT, WORK_BUDGET // n)
     adj = g.adjacency_masks()
     # maximal independent sets of G = maximal cliques of the complement
     full = (1 << n) - 1
@@ -55,8 +59,11 @@ def enumerate_maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:
         r, p, x = stack.pop()
         if p == 0 and x == 0:
             out.append(r)
-            if len(out) > MIS_LIMIT:
-                raise BudgetError(f"more than {MIS_LIMIT} maximal independent sets")
+            if len(out) > cap:
+                if cap == MIS_LIMIT:
+                    raise BudgetError(f"more than {MIS_LIMIT} maximal independent sets")
+                raise BudgetError(f"more than {cap} maximal independent sets on {n} vertices, "
+                                  f"above the budget {WORK_BUDGET} incidence cells")
             continue
         # pivot: vertex of p|x maximizing coverage of p (the lowest on ties)
         pivot, best = 0, -1
@@ -216,8 +223,9 @@ def splitting_gap(g: Graph, tol: float = 1e-6) -> float:
     result of at most 2*tol (the CLI's `splits_entropy`) certifies a true
     gap of at most 2*tol. Every perfect graph passes; a graph shows perfect
     only when 2*tol is below its gap (C5, gap 0.32 bits, passes at tol 1)."""
+    co = g.complement()  # a complement over budget is refused before either solve
     h1, _ = graph_entropy(g, tol)
-    h2, _ = graph_entropy(g.complement(), tol)
+    h2, _ = graph_entropy(co, tol)
     return h1 + h2 - math.log2(g.n)
 
 

@@ -200,6 +200,8 @@ def _parse_rational(tok: str, ln: int) -> Fraction:
 def parse_intervals(text: str) -> IntervalSet:
     """Format: `intervals <n>`, then n lines `<lo_num>/<lo_den> <hi_num>/<hi_den>`."""
     ln, (n,), nums, body = _records(text, "intervals", ("n",))
+    if n > MAX_GRAPH_VERTICES:  # an intervals file is a graph input
+        raise ParseError(f"more than {MAX_GRAPH_VERTICES} intervals", ln)
     if len(body) != n:
         raise ParseError(f"expected {n} interval lines", ln)
     ivs = []

@@ -10,14 +10,12 @@ against and which no CLI path or solver runs.
   the left-endpoint sweep that interval_mec's layers use.
 - The haplotype-explains-genotype relation that haplotype_instance's sets
   stand for.
-- graph_entropy's pairwise Frank-Wolfe loop as it stood before its per-step
-  buffers and bitmask terms: fresh arrays each step, Python-set differences
-  and a sort, so the solver can be held to it bit for bit.
+- graph_entropy's pairwise Frank-Wolfe loop with a dense numpy line search
+  over all n vertices, so the solver can be held to it bit for bit.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import sys
@@ -160,51 +158,69 @@ def explains(haplotype: str, genotype: str) -> bool:
         g == "?" or h == g for h, g in zip(haplotype, genotype))
 
 
-def allocating_graph_entropy(g: Graph, tol: float = 1e-6):
-    """(H, q, p) of graph_entropy's Frank-Wolfe loop written with a fresh
-    array for 1/p, the gradient, grad + off and p at every step, and the
-    line-search terms built from two Python sets and sorted; raises the
-    ConvergenceError graph_entropy raises. Reads graphent.MAX_FW_STEPS at
-    the call, so a patched cap holds here too."""
+def dense_graph_entropy(g: Graph, tol: float = 1e-6):
+    """(H, q, p, the number of steps that bisected) of graph_entropy's
+    pairwise Frank-Wolfe loop with its line search evaluated over all n
+    vertices in numpy, the arithmetic it ran before the line search was
+    restricted to the two sets' difference; raises the ConvergenceError
+    graph_entropy raises, with the same message, value and gap. Reads
+    graphent.MAX_FW_STEPS at the call, so a patched cap holds here too."""
     import numpy as np
     n = g.n
     sets = graphent.enumerate_maximal_independent_sets(g)
     k = len(sets)
     inc = np.zeros((k, n))
-    inc[np.repeat(np.arange(k), [len(s) for s in sets]),
-        np.fromiter(itertools.chain.from_iterable(sets), dtype=np.intp)] = 1.0
+    for i, s in enumerate(sets):
+        inc[i, list(s)] = 1.0
     q = np.full(k, 1.0 / k)
     p = inc.T @ q
-    off = np.zeros(k)
 
     def value(pv):
         return float(-np.log2(pv).sum() / n)
 
-    gap = math.inf
+    def line_search(d_p, gamma_max):
+        def deriv(gma):
+            pv = p + gma * d_p
+            if pv.min() <= 0:
+                return math.inf
+            return -float(np.add.reduce(d_p / pv))
+
+        if deriv(gamma_max) <= 0:
+            return gamma_max
+        lo, hi = 0.0, gamma_max  # deriv(hi) > 0 throughout
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:  # later halvings move neither end
+                break
+            if deriv(mid) <= 0:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    gap, bisecting = math.inf, 0
     for _ in range(graphent.MAX_FW_STEPS):
         grad = -(inc @ (1.0 / p)) / (n * graphent.LN2)
         fw = int(np.argmin(grad))
         gap = float(grad @ q - grad[fw])
         if gap <= tol or gap <= k * sys.float_info.epsilon * -grad[fw]:
             break
-        away = int(np.argmax(grad + off))
+        support = np.where(q > 1e-15)[0]
+        away = int(support[np.argmax(grad[support])])
         if away == fw:
             break
-        pl, fw_set, away_set = p.tolist(), set(sets[fw]), set(sets[away])
-        terms = sorted([(v, pl[v], 1.0) for v in fw_set - away_set]
-                       + [(v, pl[v], -1.0) for v in away_set - fw_set])
-        gamma = graphent._line_search(terms, n, float(q[away]))
+        gamma_max = float(q[away])
+        gamma = line_search(inc[fw] - inc[away], gamma_max)
+        bisecting += gamma < gamma_max
         if gamma <= 0:
             break
         q[fw] += gamma
         q[away] -= gamma
         if q[away] < 1e-15:
             q[away] = 0.0
-        for i in (fw, away):
-            off[i] = 0.0 if q[i] > 1e-15 else -math.inf
         p = inc.T @ q
     else:
         raise ConvergenceError("graph entropy solver did not converge", value(p), gap)
     if gap > tol:
         raise ConvergenceError("graph entropy solver stalled", value(p), gap)
-    return value(p), tuple(q.tolist()), tuple(p.tolist())
+    return value(p), tuple(q.tolist()), tuple(p.tolist()), bisecting

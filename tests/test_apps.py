@@ -79,6 +79,35 @@ def test_haplotype_instance_over_cap(monkeypatch):
     with pytest.raises(BudgetError, match=r"^more than 3 distinct haplotypes "
                        r"\(apps\.HAPLOTYPE_CAP\)"):
         haplotype_instance(GenotypePanel(["0?", "??"]))
+    # each genotype has 2 haplotypes, the panel 4: refused by the panel's count
+    with pytest.raises(BudgetError, match=r"^more than 3 distinct haplotypes "
+                       r"\(apps\.HAPLOTYPE_CAP\)"):
+        haplotype_instance(GenotypePanel(["0?", "1?"]))
+
+
+def test_haplotype_instance_refuses_expanded_characters_past_the_work_budget(monkeypatch):
+    panel = GenotypePanel(["0?", "1?"])  # 2 + 2 haplotypes of 2 characters
+    monkeypatch.setattr(apps, "WORK_BUDGET", 8)
+    assert haplotype_instance(panel)[1] == ["00", "01", "10", "11"]
+    monkeypatch.setattr(apps, "WORK_BUDGET", 7)
+    with pytest.raises(BudgetError, match=r"^genotypes 1-2 expand to 8 haplotype characters, "
+                       r"above the budget 7$"):
+        haplotype_instance(panel)
+    # a genotype over the distinct-haplotype cap keeps that refusal
+    monkeypatch.setattr(apps, "HAPLOTYPE_CAP", 3)
+    monkeypatch.setattr(apps, "WORK_BUDGET", 1)
+    with pytest.raises(BudgetError, match=r"^more than 3 distinct haplotypes"):
+        haplotype_instance(GenotypePanel(["??"]))
+
+
+def test_confusability_graph_refuses_pair_checks_past_the_work_budget(monkeypatch):
+    # 3 symbols over 2 outcomes: 3 pairs of 2 checks each
+    monkeypatch.setattr(apps, "WORK_BUDGET", 6)
+    assert confusability_graph(CHANNEL3X2).edges == ((0, 1), (0, 2))
+    monkeypatch.setattr(apps, "WORK_BUDGET", 5)
+    with pytest.raises(BudgetError, match=r"^3 symbols over 2 outcomes need 6 pair checks, "
+                       r"above the budget 5$"):
+        confusability_graph(CHANNEL3X2)
 
 
 def test_genotype_panel_validation():

@@ -12,7 +12,8 @@ from fractions import Fraction
 import pytest
 
 import minent
-from minent import apps
+from minent import apps, graphent
+from minent import io as mio
 from minent.cli import _GEN_KINDS, main
 from minent.core import BudgetError, Graph, IntervalSet, SetSystem, ValidationError
 from minent.io import (MAX_GRAPH_VERTICES, ParseError, parse_graph,
@@ -58,6 +59,13 @@ def test_parse_intervals():
     assert iv.intervals == ((Fraction(0), Fraction(2)), (Fraction(1, 2), Fraction(3, 2)))
     with pytest.raises(ParseError):
         parse_intervals("intervals 1\n1/1 1/1\n")
+
+
+def test_parse_intervals_refuses_more_intervals_than_graph_vertices(monkeypatch):
+    monkeypatch.setattr(mio, "MAX_GRAPH_VERTICES", 2)
+    assert len(parse_intervals("intervals 2\n0/1 1/1\n0/1 1/1\n")) == 2
+    with pytest.raises(ParseError, match=r"^line 1: more than 2 intervals$"):
+        parse_intervals("intervals 3\n0/1 1/1\n0/1 1/1\n0/1 1/1\n")
 
 
 def test_roundtrip_graph():
@@ -133,25 +141,27 @@ def test_setcover_generator_refuses_hopeless_sizes_before_drawing():
             random_setcover(5, k)
 
 
-@pytest.mark.parametrize("argv", [
-    ["random", "--kind", "regular", "--n", "10", "--delta", "-1"],
-    ["random", "--kind", "setcover", "--n", "3000", "--k", "5"],
-    ["random", "--kind", "setcover", "--n", "5", "--k", "0"],
-    ["random", "--kind", "setcover", "--n", "1000000", "--k", "10000"],
-    ["jk", "--k", "1414"],
-    ["random", "--kind", "interval", "--n", "-3"],
-    ["random", "--kind", "interval", "--n", "2000000"],
+@pytest.mark.parametrize("argv, err", [
+    (["random", "--kind", "regular", "--n", "10", "--delta", "-1"],
+     "need n*d even and 0 <= d < n"),
+    (["random", "--kind", "setcover", "--n", "3000", "--k", "5"],
+     "covering 3000 elements with k = 5 random sets succeeds with probability about "
+     "(1-2^-k)^n, below 1/10000"),
+    (["random", "--kind", "setcover", "--n", "5", "--k", "0"], "need at least one set"),
+    (["random", "--kind", "setcover", "--n", "1000000", "--k", "10000"],
+     "n*k = 10000000000 membership draws exceed the budget 10000000"),
+    (["jk", "--k", "1414"], "J_1414 has more than 1000000 intervals"),
+    (["jk", "--k", "0"], "k must be >= 1"),
+    (["random", "--kind", "interval", "--n", "-3"], "interval count must be in [0, 1000000]"),
+    (["random", "--kind", "interval", "--n", "2000000"],
+     "interval count must be in [0, 1000000]"),
 ], ids=["regular-negative-degree", "setcover-hopeless", "setcover-no-sets",
-        "setcover-over-budget", "jk-above-cap", "interval-negative-count",
+        "setcover-over-budget", "jk-above-cap", "jk-zero", "interval-negative-count",
         "interval-above-cap"])
-def test_cli_gen_refusal_exits_2_at_once(capsys, argv):
+def test_cli_gen_refusal_exits_2_at_once(capsys, argv, err):
     start = time.perf_counter()
-    assert main(["gen"] + argv) == 2
+    assert _exit_and_streams(capsys, ["gen"] + argv) == (2, "", f"error: {err}\n")
     assert time.perf_counter() - start < 1.0
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("action", [["orient", "biased"], ["color", "interval"]])
@@ -335,6 +345,52 @@ def _timed_outputs(capsys, argv):
     return outs
 
 
+def _stars(k, leaves):
+    """A graph file of k disjoint stars with `leaves` leaves each."""
+    edges = [(s * (leaves + 1), s * (leaves + 1) + i) for s in range(k)
+             for i in range(1, leaves + 1)]
+    return f"graph {k * (leaves + 1)} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+@pytest.mark.parametrize("patch, argv, text, err, peak_bytes", [
+    # 256 maximal independent sets on 88 vertices: 22,528 incidence cells
+    ((graphent, 15_000), ["graphent", "compute", "--tol", "1"], _stars(8, 10),
+     "more than 170 maximal independent sets on 88 vertices, "
+     "above the budget 15000 incidence cells", 100_000),
+    (None, ["graphent", "split"], _stars(2, 2236),
+     "the complement of a graph on 4474 vertices has 10001629 edges, "
+     "above the budget 10000000", 4_000_000),
+    (None, ["app", "confusability"],
+     "x,0,1\n" + "".join(f"a{i},{0.5 / 3163!r},{0.5 / 3163!r}\n" for i in range(3163)),
+     "3163 symbols over 2 outcomes need 10001406 pair checks, above the budget 10000000",
+     4_000_000),
+    # every genotype has 4,096 haplotypes; the 21st brings the panel past 10^6
+    # characters
+    ((apps, 1_000_000), ["app", "haplotype"], ("?" * 12 + "\n") * 300,
+     "genotypes 1-21 expand to 1032192 haplotype characters, above the budget 1000000",
+     4_000_000),
+], ids=["star-forest-sets", "two-stars-complement", "table-pair-checks", "panel-characters"])
+def test_cli_refuses_past_the_work_budget_before_building(tmp_path, capsys, monkeypatch,
+                                                          patch, argv, text, err, peak_bytes):
+    """Scaled-down forms of inputs whose output grows faster than the input
+    exit 2 with the budget's message before the output is built."""
+    if patch is not None:
+        monkeypatch.setattr(patch[0], "WORK_BUDGET", patch[1])
+    f = tmp_path / "input.txt"
+    f.write_text(text)
+    argv = argv + ["--input", str(f)]
+    main(argv)  # the traced call below then allocates no module it imports
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        streams = _exit_and_streams(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert streams == (2, "", f"error: {err}\n")
+    assert peak < peak_bytes
+
+
 @pytest.mark.parametrize("action", ["biased", "exact"])
 def test_cli_orient_output_bytes(tmp_path, capsys, monkeypatch, action):
     """Both report modes, byte for byte apart from the timing: JSON writes the
@@ -485,13 +541,18 @@ def test_cli_orient_refusal_bytes(tmp_path, capsys, argv, text, err):
     (["app", "haplotype"], "0" * 140_000 + "\n" + "0" * 139_999 + "2\n",
      "line 2: invalid genotype character in '" + "0" * 40 + "'..."),
     (["color", "interval"], "intervals 1\n0/1 1/2 3\n", "line 2: expected '<lo> <hi>'"),
+    (["color", "interval"], "intervals 1000001\n", "line 1: more than 1000000 intervals"),
+    (["color", "interval"], "intervals 0\n", "empty interval set"),
     (["color", "greedy"], "graph 3 2\n0 1\x0c1 2\n", "line 1: expected 2 edge lines"),
+    (["color", "greedy"], "graph 2 1\n0 1\nweights -0.5 1.5\n", "line 1: negative vertex weight"),
 ], ids=["table-long-field", "table-sum-overflows", "table-row-after-blank-lines",
         "table-cell-after-blank-lines", "table-header-only", "genotypes-empty",
         "genotypes-bad-character-line-3", "genotypes-wrong-length-line-4",
-        "genotypes-long-quoted-in-part", "intervals-three-tokens", "graph-form-feed-ends-no-line"])
+        "genotypes-long-quoted-in-part", "intervals-three-tokens", "intervals-above-cap",
+        "intervals-empty", "graph-form-feed-ends-no-line", "graph-negative-weight"])
 def test_cli_input_refusal_bytes(tmp_path, capsys, argv, text, err):
-    """Each outside-input refusal exits 2 naming the line at fault."""
+    """Each outside-input refusal exits 2 with its message, naming the line
+    at fault when a line is."""
     f = tmp_path / "input.txt"
     f.write_text(text)
     assert _exit_and_streams(capsys, argv + ["--input", str(f)]) == (2, "", f"error: {err}\n")

@@ -1,11 +1,13 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from minent.core import (Graph, IntervalSet, SetSystem, ValidationError, _edge_count,
-                         entropy_of_counts, interval_graph)
+from minent import core
+from minent.core import (BudgetError, Graph, IntervalSet, SetSystem, ValidationError,
+                         _edge_count, entropy_of_counts, interval_graph)
 from oracles import Distribution, counts_to_distribution, dominates, entropy, max_point_depth
 
 
@@ -288,3 +290,28 @@ def test_entropy_of_counts_matches_distribution():
         counts = [rng.randrange(1, 9) for _ in range(rng.randrange(1, 6))]
         assert entropy_of_counts(counts) == pytest.approx(
             entropy(counts_to_distribution(counts)), abs=1e-12)
+
+
+def test_complement_refuses_past_the_work_budget(monkeypatch):
+    c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])  # 5 non-edges
+    monkeypatch.setattr(core, "WORK_BUDGET", 5)
+    assert c5.complement().edges == ((0, 2), (0, 3), (1, 3), (1, 4), (2, 4))
+    monkeypatch.setattr(core, "WORK_BUDGET", 4)
+    with pytest.raises(BudgetError, match=r"^the complement of a graph on 5 vertices has 5 "
+                       r"edges, above the budget 4$"):
+        c5.complement()
+
+
+def test_complement_of_two_large_stars_is_refused_before_listing_a_pair():
+    # 4,474 vertices: 10,006,101 pairs less 4,472 edges. One vertex fewer
+    # leaves 9,997,157 non-edges, within the budget.
+    edges = [(0, v) for v in range(1, 2237)] + [(2237, v) for v in range(2238, 4474)]
+    g = Graph(4474, edges)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match=r"has 10001629 edges, above the budget 10000000$"):
+            g.complement()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000

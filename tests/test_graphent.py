@@ -11,7 +11,7 @@ from minent.core import BudgetError, Graph, ValidationError, entropy_of_counts, 
 from minent.graphent import (ConvergenceError, enumerate_maximal_independent_sets,
                              graph_entropy, greedy_vs_entropy, splitting_gap)
 from minent.io import random_graph, random_intervals
-from oracles import allocating_graph_entropy, random_bipartite_graph
+from oracles import dense_graph_entropy, random_bipartite_graph
 
 C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 C5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -56,6 +56,17 @@ def test_enumerate_mis_budget(monkeypatch):
     assert len(enumerate_maximal_independent_sets(matching(6))) == 64
     monkeypatch.setattr(graphent, "MIS_LIMIT", 63)
     with pytest.raises(BudgetError, match="more than 63 maximal independent sets"):
+        enumerate_maximal_independent_sets(matching(6))
+
+
+def test_enumerate_mis_refuses_sets_times_n_past_the_work_budget(monkeypatch):
+    # the 64 maximal independent sets of a perfect matching on 12 vertices
+    # fill 768 incidence cells
+    monkeypatch.setattr(graphent, "WORK_BUDGET", 768)
+    assert len(enumerate_maximal_independent_sets(matching(6))) == 64
+    monkeypatch.setattr(graphent, "WORK_BUDGET", 767)
+    with pytest.raises(BudgetError, match=r"^more than 63 maximal independent sets on 12 "
+                       r"vertices, above the budget 767 incidence cells$"):
         enumerate_maximal_independent_sets(matching(6))
 
 
@@ -135,106 +146,39 @@ def test_cli_graphent_stall_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def _dense_graph_entropy(g, tol=1e-6):
-    """The Frank-Wolfe loop with its line search evaluated over all n
-    vertices in numpy: the arithmetic graph_entropy did before the line
-    search was restricted to the two sets' difference. Returns (H, q, p,
-    the number of steps that bisected)."""
-    import numpy as np
-    n = g.n
-    sets = enumerate_maximal_independent_sets(g)
-    k = len(sets)
-    inc = np.zeros((k, n))
-    for i, s in enumerate(sets):
-        inc[i, list(s)] = 1.0
-    q = np.full(k, 1.0 / k)
-    p = inc.T @ q
-
-    def line_search(d_p, gamma_max):
-        def deriv(gma):
-            pv = p + gma * d_p
-            if pv.min() <= 0:
-                return math.inf
-            return -float(np.add.reduce(d_p / pv))
-
-        if deriv(gamma_max) <= 0:
-            return gamma_max
-        lo, hi = 0.0, gamma_max
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if deriv(mid) <= 0:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    bisecting = 0
-    for _ in range(graphent.MAX_FW_STEPS):
-        grad = -(inc @ (1.0 / p)) / (n * graphent.LN2)
-        fw = int(np.argmin(grad))
-        gap = float(grad @ q - grad[fw])
-        if gap <= tol or gap <= k * sys.float_info.epsilon * -grad[fw]:
-            break
-        support = np.where(q > 1e-15)[0]
-        away = int(support[np.argmax(grad[support])])
-        if away == fw:
-            break
-        gamma_max = float(q[away])
-        gamma = line_search(inc[fw] - inc[away], gamma_max)
-        bisecting += gamma < gamma_max
-        if gamma <= 0:
-            break
-        q[fw] += gamma
-        q[away] -= gamma
-        if q[away] < 1e-15:
-            q[away] = 0.0
-        p = inc.T @ q
-    return float(-np.log2(p).sum() / n), q.tolist(), p.tolist(), bisecting
-
-
-def test_graph_entropy_matches_the_dense_line_search():
-    graphs = [random_graph(n, 3 * n // 2, seed=seed) for n in range(8, 25) for seed in range(3)]
-    graphs += [Graph(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(5, 13)]
-    bisecting = 0
-    for g in graphs:
-        h, w = graph_entropy(g)
-        h_ref, q_ref, p_ref, steps = _dense_graph_entropy(g)
-        bisecting += steps
-        assert [i for i, x in enumerate(w.q) if x > 1e-12] == \
-            [i for i, x in enumerate(q_ref) if x > 1e-12]
-        assert max(abs(a - b) for a, b in zip(w.p, p_ref)) <= 1e-9
-        assert h == pytest.approx(h_ref, abs=1e-9)
+def test_graph_entropy_matches_the_dense_line_search(monkeypatch):
+    """graph_entropy gives the dense evaluation's H, q and p bit for bit, or
+    its ConvergenceError message, value and gap. The first graphs run to
+    convergence; the second cases run under a 150-step cap, which keeps the
+    odd cycles and larger graphs fast: about half of them reach it, and the
+    two tol=1e-300 cases stall before it."""
+    uncapped = [(random_graph(n, 3 * n // 2, seed=seed), 1e-6)
+                 for n in range(8, 25) for seed in range(3)]
+    uncapped += [(Graph(n, [(i, (i + 1) % n) for i in range(n)]), 1e-6) for n in range(5, 13)]
+    capped = [(random_graph(n, 3 * n // 2), 1e-6) for n in range(5, 25)]
+    capped += [(Graph(n, [(i, (i + 1) % n) for i in range(n)]), 1e-6) for n in range(5, 31)]
+    capped += [(random_graph(n, 3 * n // 2).complement(), 1e-6) for n in (8, 12, 16, 20)]
+    capped += [(random_graph(4, 4, seed=0), 1e-300), (random_graph(9, 12, seed=2), 1e-300)]
+    bisecting, ends = 0, set()
+    for cap, cases in ((graphent.MAX_FW_STEPS, uncapped), (150, capped)):
+        monkeypatch.setattr(graphent, "MAX_FW_STEPS", cap)
+        for g, tol in cases:
+            try:
+                h, w = graph_entropy(g, tol)
+            except ConvergenceError as exc:
+                with pytest.raises(ConvergenceError) as ref:
+                    dense_graph_entropy(g, tol)
+                assert (str(exc), exc.value, exc.gap) == \
+                    (str(ref.value), ref.value.value, ref.value.gap)
+                ends.add(str(exc))
+                continue
+            h_ref, q_ref, p_ref, steps = dense_graph_entropy(g, tol)
+            assert (h, w.q, w.p) == (h_ref, q_ref, p_ref)
+            bisecting += steps
+            ends.add("converged")
     assert bisecting > 0
-
-
-def test_graph_entropy_matches_the_allocating_loop_bit_for_bit(monkeypatch):
-    """The buffered loop with bitmask terms gives the same H, q and p, or the
-    same ConvergenceError message, value and gap, as the loop that allocated
-    every array and sorted Python-set differences each step. A cap of 150
-    steps keeps the odd cycles and larger graphs fast; about half the solves
-    reach it, and the two tol=1e-300 cases stall before it."""
-    def outcome(solve, g, tol):
-        try:
-            return solve(g, tol)
-        except ConvergenceError as exc:
-            return str(exc), exc.value, exc.gap
-
-    def buffered(g, tol):
-        h, w = graph_entropy(g, tol)
-        return h, w.q, w.p
-
-    cases = [(random_graph(n, 3 * n // 2), 1e-6) for n in range(5, 25)]
-    cases += [(Graph(n, [(i, (i + 1) % n) for i in range(n)]), 1e-6) for n in range(5, 31)]
-    cases += [(random_graph(n, 3 * n // 2).complement(), 1e-6) for n in (8, 12, 16, 20)]
-    cases += [(random_graph(4, 4, seed=0), 1e-300), (random_graph(9, 12, seed=2), 1e-300)]
-    monkeypatch.setattr(graphent, "MAX_FW_STEPS", 150)
-    ends = []
-    for g, tol in cases:
-        new = outcome(buffered, g, tol)
-        assert new == outcome(allocating_graph_entropy, g, tol)
-        ends.append(new[0] if isinstance(new[0], str) else "converged")
-    assert sorted(set(ends)) == ["converged", "graph entropy solver did not converge",
-                                 "graph entropy solver stalled"]
+    assert sorted(ends) == ["converged", "graph entropy solver did not converge",
+                            "graph entropy solver stalled"]
 
 
 def test_pairwise_sum_adds_as_numpy_sums():
