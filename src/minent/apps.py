@@ -10,20 +10,13 @@ from dataclasses import dataclass
 
 from .core import WEIGHT_TOL, WORK_BUDGET, BudgetError, Graph, SetSystem, ValidationError
 
-HAPLOTYPE_CAP = 10 ** 5  # most distinct haplotypes haplotype_instance builds
 _DELETE_ALPHABET = str.maketrans("", "", "01?")  # a genotype translates to ""
-
-
-def _bad_character(genotype: str) -> ValidationError:
-    """The refusal of a genotype outside {0, 1, ?}, quoting at most its first
-    40 characters."""
-    quote = repr(genotype[:40]) + ("..." if len(genotype) > 40 else "")
-    return ValidationError(f"invalid genotype character in {quote}")
 
 
 @dataclass(frozen=True)
 class GenotypePanel:
-    """Equal-length genotype strings over the alphabet {0, 1, ?}."""
+    """Equal-length genotype strings over the alphabet {0, 1, ?}. A refused
+    character is quoted with at most the first 40 characters of its genotype."""
 
     genotypes: tuple[str, ...]
 
@@ -36,7 +29,8 @@ class GenotypePanel:
             if len(s) != length:
                 raise ValidationError("genotypes must have uniform length")
             if s.translate(_DELETE_ALPHABET):
-                raise _bad_character(s)
+                quote = repr(s[:40]) + ("..." if len(s) > 40 else "")
+                raise ValidationError(f"invalid genotype character in {quote}")
         object.__setattr__(self, "genotypes", genotypes)
 
 
@@ -72,51 +66,31 @@ class JointTable:
         return tuple(math.fsum(row) for row in self.probs)
 
 
-def _over_haplotype_cap() -> BudgetError:
-    return BudgetError(f"more than {HAPLOTYPE_CAP} distinct haplotypes (apps.HAPLOTYPE_CAP); "
-                       "lower the per-genotype wildcard count")
-
-
-def compatible_haplotypes(genotype: str) -> list[str]:
-    """All binary strings matching the genotype on every non-? position, in
-    lexicographic order (the first ? is the most significant bit).
-
-    The alphabet is checked first, so no `%` reaches the template; then a
-    genotype whose 2^wildcards alone exceeds HAPLOTYPE_CAP is refused before
-    any string is built."""
-    if genotype.translate(_DELETE_ALPHABET):
-        raise _bad_character(genotype)
-    holes = genotype.count("?")
-    if 1 << holes > HAPLOTYPE_CAP:
-        raise _over_haplotype_cap()
-    template = genotype.replace("?", "%s")
-    return [template % bits for bits in itertools.product("01", repeat=holes)]
-
-
 def haplotype_instance(panel: GenotypePanel) -> tuple[SetSystem, list[str]]:
     """Build the set-cover instance of haplotype phasing: the universe is the
     genotypes (duplicates kept distinct) and each distinct compatible
     haplotype contributes the set of genotypes it explains. Greedy set cover
     on the result is the maximum-likelihood-style phasing.
 
-    h explains g exactly when h is one of g's compatible haplotypes, so each
-    genotype is expanded once and its index appended to the set of every
-    haplotype in its list: O(sum 2^wildcards) rather than a test of every
-    (haplotype, genotype) pair. Sets come out in genotype order. Once the
-    characters expanded so far, sum 2^wildcards * length, exceed WORK_BUDGET,
-    BudgetError is raised before that genotype's haplotypes are filed."""
+    h explains g exactly when h matches g on every non-? position, so each
+    genotype is expanded once, filling a %s template per ? with every bit
+    pattern, and its index appended to the set of every haplotype it yields:
+    O(sum 2^wildcards) rather than a test of every (haplotype, genotype)
+    pair. Sets come out in genotype order. Once the characters to expand,
+    sum 2^wildcards * length over the genotypes so far, exceed WORK_BUDGET,
+    BudgetError is raised before that genotype is expanded. The panel's
+    alphabet check keeps any % out of the template."""
     members: defaultdict[str, list[int]] = defaultdict(list)
     length, chars = len(panel.genotypes[0]), 0
     for i, g in enumerate(panel.genotypes):
-        haplotypes = compatible_haplotypes(g)
-        chars += len(haplotypes) * length
+        holes = g.count("?")
+        chars += (1 << holes) * length
         if chars > WORK_BUDGET:
             raise BudgetError(f"genotypes 1-{i + 1} expand to {chars} haplotype characters, "
                               f"above the budget {WORK_BUDGET}")
-        for h in haplotypes:
-            members[h].append(i)
-        if len(members) > HAPLOTYPE_CAP:
-            raise _over_haplotype_cap()
+        template = g.replace("?", "%s")
+        for bits in itertools.product("01", repeat=holes):
+            members[template % bits].append(i)
     labels = sorted(members)
     return SetSystem(len(panel.genotypes), [members[h] for h in labels]), labels
 

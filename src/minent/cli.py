@@ -155,6 +155,8 @@ def _cmd_app(args, text: str, report: dict) -> dict:
         return {}
     from . import coloring
     table = mio.parse_joint_table(text)
+    # refused before the graph's pair loop, not after it
+    coloring.check_oracle_cap(len(table.x_labels), exact=args.color == "exact")
     g = apps.confusability_graph(table)
     col = (coloring.exact_coloring(g) if args.color == "exact"
            else coloring.greedy_coloring(g))

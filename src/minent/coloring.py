@@ -61,14 +61,23 @@ def coloring_entropy(g: Graph, c: Coloring) -> float:
     return entropy_of_counts([sum(map(w.__getitem__, cls)) for cls in c.classes()])
 
 
+def check_oracle_cap(n: int, exact: bool) -> None:
+    """Raise BudgetError when n vertices exceed the cap of the first exact
+    search that colouring them runs: exact_coloring's when `exact`, else
+    exact_mis's (greedy_coloring's first class searches all n)."""
+    if exact and n > COLORING_CAP:
+        raise BudgetError(f"exact coloring oracle limited to {COLORING_CAP} vertices")
+    if n > MIS_CAP:
+        raise BudgetError(f"exact MIS oracle limited to {MIS_CAP} vertices")
+
+
 def exact_mis(g: Graph, vertices: Optional[Sequence[int]] = None) -> tuple[int, ...]:
     """Maximum-cardinality (or, on a weighted graph, maximum-weight)
     independent set of the subgraph induced by `vertices` (default: all of
     g) by branch and bound; returns the lexicographically smallest optimum."""
     vs = range(g.n) if vertices is None else sorted(vertices)
     n = len(vs)
-    if n > MIS_CAP:
-        raise BudgetError(f"exact MIS oracle limited to {MIS_CAP} vertices")
+    check_oracle_cap(n, exact=False)
     w = [1.0] * n if g.weights is None else [g.weights[v] for v in vs]
     pos = {v: i for i, v in enumerate(vs)}
     adj = [sum(1 << pos[u] for u in g.adjacency[v] if u in pos) for v in vs]
@@ -164,8 +173,7 @@ def exact_coloring(g: Graph) -> Coloring:
     Every completion is dominated by pouring all remaining mass into the
     largest class, so that completion's entropy bounds the subtree."""
     n = g.n
-    if n > COLORING_CAP:
-        raise BudgetError(f"exact coloring oracle limited to {COLORING_CAP} vertices")
+    check_oracle_cap(n, exact=True)
     # Seed the incumbent entropy from the greedy coloring (whose entropy
     # refuses the empty graph); the +1e-9 slack keeps the search obliged to
     # rediscover an actual optimum, preserving the lexicographic tie-break.

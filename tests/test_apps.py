@@ -1,11 +1,11 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from minent import apps
-from minent.apps import (GenotypePanel, JointTable, compatible_haplotypes, confusability_graph,
-                         haplotype_instance)
+from minent.apps import GenotypePanel, JointTable, confusability_graph, haplotype_instance
 from minent.coloring import Coloring, coloring_entropy, greedy_coloring
 from minent.core import BudgetError, SetSystem, ValidationError
 from minent.setcover import cover_entropy, exact_cover, greedy_cover, likelihood
@@ -15,30 +15,12 @@ CHANNEL3X2 = JointTable(["a", "b", "c"], ["0", "1"],
                    [[0.25, 0.25], [0.25, 0.0], [0.0, 0.25]])
 
 
-def test_compatible_haplotypes():
-    assert compatible_haplotypes("0?") == ["00", "01"]
-    assert compatible_haplotypes("10") == ["10"]
-    assert compatible_haplotypes("??") == ["00", "01", "10", "11"]
-
-
-def test_compatible_haplotypes_errors():
-    with pytest.raises(ValidationError):
-        compatible_haplotypes("0x1")
-    assert len(compatible_haplotypes("?" * 16)) == 2 ** 16 <= apps.HAPLOTYPE_CAP
-    for holes in (17, 25):
-        with pytest.raises(BudgetError):
-            compatible_haplotypes("?" * holes)
-
-
 def _loop_compatible_haplotypes(genotype):
     """Compatible haplotypes built one character at a time, first ? most
-    significant, with the same checks in the same order."""
+    significant, after the same alphabet check."""
     if any(ch not in "01?" for ch in genotype):
         raise ValidationError(f"invalid genotype character in {genotype!r}")
     holes = [i for i, ch in enumerate(genotype) if ch == "?"]
-    if 2 ** len(holes) > apps.HAPLOTYPE_CAP:
-        raise BudgetError(f"more than {apps.HAPLOTYPE_CAP} distinct haplotypes "
-                          "(apps.HAPLOTYPE_CAP); lower the per-genotype wildcard count")
     out = []
     for bits in range(1 << len(holes)):
         chars = list(genotype)
@@ -48,7 +30,19 @@ def _loop_compatible_haplotypes(genotype):
     return out
 
 
+def _labels(genotype):
+    return haplotype_instance(GenotypePanel([genotype]))[1]
+
+
+def test_compatible_haplotypes():
+    assert _labels("0?") == ["00", "01"]
+    assert _labels("10") == ["10"]
+    assert _labels("??") == ["00", "01", "10", "11"]
+
+
 def test_compatible_haplotypes_matches_character_loop():
+    """A one-genotype panel's labels are its compatible haplotypes, each
+    explaining the one genotype."""
     genotypes = ["", "?", "?" * 12, "0", "1"]
     for seed in range(120):
         rng = random.Random(seed)
@@ -57,32 +51,22 @@ def test_compatible_haplotypes_matches_character_loop():
         rng.shuffle(chars)
         genotypes.append("".join(chars))
     for g in genotypes:
-        assert compatible_haplotypes(g) == _loop_compatible_haplotypes(g), g
+        expected = _loop_compatible_haplotypes(g)
+        system, labels = haplotype_instance(GenotypePanel([g]))
+        assert labels == expected, g
+        assert system.sets == ((0,),) * len(expected), g
 
 
-@pytest.mark.parametrize("genotype", ["0%?", "0\u0661?", "01?2", "?" * 17 + "01", "?" * 21,
-                                     "%" + "?" * 21],
-                         ids=["percent", "arabic-indic-one", "digit-2", "17-wildcards",
-                              "21-wildcards", "percent-21-wildcards"])
+@pytest.mark.parametrize("genotype", ["0%?", "0\u0661?", "01?2", "%" + "?" * 21],
+                         ids=["percent", "arabic-indic-one", "digit-2", "percent-21-wildcards"])
 def test_compatible_haplotypes_errors_match_character_loop(genotype):
-    with pytest.raises((ValidationError, BudgetError)) as old:
+    """The panel is the one genotype validator: it refuses what the loop
+    refuses, with the same message, before any haplotype is built."""
+    with pytest.raises(ValidationError) as old:
         _loop_compatible_haplotypes(genotype)
-    with pytest.raises((ValidationError, BudgetError)) as new:
-        compatible_haplotypes(genotype)
-    assert (type(new.value), str(new.value)) == (type(old.value), str(old.value))
-
-
-def test_haplotype_instance_over_cap(monkeypatch):
-    monkeypatch.setattr(apps, "HAPLOTYPE_CAP", 3)
-    _, labels = haplotype_instance(GenotypePanel(["0?", "?0"]))
-    assert labels == ["00", "01", "10"]  # at the cap is allowed
-    with pytest.raises(BudgetError, match=r"^more than 3 distinct haplotypes "
-                       r"\(apps\.HAPLOTYPE_CAP\)"):
-        haplotype_instance(GenotypePanel(["0?", "??"]))
-    # each genotype has 2 haplotypes, the panel 4: refused by the panel's count
-    with pytest.raises(BudgetError, match=r"^more than 3 distinct haplotypes "
-                       r"\(apps\.HAPLOTYPE_CAP\)"):
-        haplotype_instance(GenotypePanel(["0?", "1?"]))
+    with pytest.raises(ValidationError) as new:
+        GenotypePanel([genotype])
+    assert str(new.value) == str(old.value)
 
 
 def test_haplotype_instance_refuses_expanded_characters_past_the_work_budget(monkeypatch):
@@ -93,11 +77,34 @@ def test_haplotype_instance_refuses_expanded_characters_past_the_work_budget(mon
     with pytest.raises(BudgetError, match=r"^genotypes 1-2 expand to 8 haplotype characters, "
                        r"above the budget 7$"):
         haplotype_instance(panel)
-    # a genotype over the distinct-haplotype cap keeps that refusal
-    monkeypatch.setattr(apps, "HAPLOTYPE_CAP", 3)
-    monkeypatch.setattr(apps, "WORK_BUDGET", 1)
-    with pytest.raises(BudgetError, match=r"^more than 3 distinct haplotypes"):
+    # one genotype whose own expansion is the whole count: 4 haplotypes of 2
+    monkeypatch.setattr(apps, "WORK_BUDGET", 8)
+    assert haplotype_instance(GenotypePanel(["??"]))[1] == ["00", "01", "10", "11"]
+    monkeypatch.setattr(apps, "WORK_BUDGET", 7)
+    with pytest.raises(BudgetError, match=r"^genotypes 1-1 expand to 8 haplotype characters, "
+                       r"above the budget 7$"):
         haplotype_instance(GenotypePanel(["??"]))
+
+
+def test_haplotype_instance_refuses_a_64_wildcard_genotype_before_expanding_it():
+    panel = GenotypePanel(["?" * 64])
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match=f"^genotypes 1-1 expand to {2 ** 64 * 64} "
+                           r"haplotype characters, above the budget 10000000$"):
+            haplotype_instance(panel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+def test_haplotype_instance_accepts_17_wildcards():
+    # 2^17 haplotypes of 17 characters: 2,228,224, inside the budget
+    system, labels = haplotype_instance(GenotypePanel(["?" * 17]))
+    assert len(labels) == system.k == 131_072
+    assert labels[0] == "0" * 17 and labels[-1] == "1" * 17
+    assert labels == sorted(set(labels))
 
 
 def test_confusability_graph_refuses_pair_checks_past_the_work_budget(monkeypatch):
@@ -150,7 +157,7 @@ def test_haplotype_sets_roundtrip():
 def _pairwise_instance(panel):
     """The haplotype instance built by testing every (haplotype, genotype)
     pair with `explains`."""
-    labels = sorted({h for g in panel.genotypes for h in compatible_haplotypes(g)})
+    labels = sorted({h for g in panel.genotypes for h in _loop_compatible_haplotypes(g)})
     sets = [[i for i, g in enumerate(panel.genotypes) if explains(h, g)] for h in labels]
     return SetSystem(len(panel.genotypes), sets), labels
 

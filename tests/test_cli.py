@@ -303,19 +303,9 @@ def test_cli_app_haplotype(tmp_path, capsys):
     assert report["assignment"] == ["01", "01"]
 
 
-def test_cli_app_haplotype_over_cap_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(apps, "HAPLOTYPE_CAP", 3)
-    f = tmp_path / "panel.txt"
-    f.write_text("0?\n??\n")
-    assert main(["app", "haplotype", "--input", str(f)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: more than 3 distinct haplotypes (apps.HAPLOTYPE_CAP)")
-    assert "Traceback" not in err
-
-
 def test_cli_app_haplotype_refuses_a_wide_genotype_before_expanding_it(tmp_path, capsys):
-    # 2^20 compatible haplotypes: expanded before the cap was checked, this
-    # peaked at about 208 MB
+    # 2^20 compatible haplotypes of 24 characters: expanded, they peak at
+    # about 208 MB
     f = tmp_path / "panel.txt"
     f.write_text("?" * 20 + "0101\n")
     tracemalloc.start()
@@ -325,9 +315,8 @@ def test_cli_app_haplotype_refuses_a_wide_genotype_before_expanding_it(tmp_path,
     finally:
         tracemalloc.stop()
     assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: more than {apps.HAPLOTYPE_CAP} distinct haplotypes")
-    assert "Traceback" not in err
+    assert capsys.readouterr().err == ("error: genotypes 1-1 expand to 25165824 haplotype "
+                                       "characters, above the budget 10000000\n")
     assert peak < 10_000_000
 
 
@@ -352,6 +341,10 @@ def _stars(k, leaves):
     return f"graph {k * (leaves + 1)} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
 
 
+# 3,163 symbols over 2 outcomes: 10,001,406 pair checks
+WIDE_TABLE = "x,0,1\n" + "".join(f"a{i},{0.5 / 3163!r},{0.5 / 3163!r}\n" for i in range(3163))
+
+
 @pytest.mark.parametrize("patch, argv, text, err, peak_bytes", [
     # 256 maximal independent sets on 88 vertices: 22,528 incidence cells
     ((graphent, 15_000), ["graphent", "compute", "--tol", "1"], _stars(8, 10),
@@ -360,20 +353,24 @@ def _stars(k, leaves):
     (None, ["graphent", "split"], _stars(2, 2236),
      "the complement of a graph on 4474 vertices has 10001629 edges, "
      "above the budget 10000000", 4_000_000),
-    (None, ["app", "confusability"],
-     "x,0,1\n" + "".join(f"a{i},{0.5 / 3163!r},{0.5 / 3163!r}\n" for i in range(3163)),
-     "3163 symbols over 2 outcomes need 10001406 pair checks, above the budget 10000000",
-     4_000_000),
+    # past the pair budget too, but the colouring oracle's cap is checked
+    # before the graph is built
+    (None, ["app", "confusability"], WIDE_TABLE,
+     "exact MIS oracle limited to 40 vertices", 4_000_000),
+    (None, ["app", "confusability", "--color", "exact"], WIDE_TABLE,
+     "exact coloring oracle limited to 15 vertices", 4_000_000),
     # every genotype has 4,096 haplotypes; the 21st brings the panel past 10^6
     # characters
     ((apps, 1_000_000), ["app", "haplotype"], ("?" * 12 + "\n") * 300,
      "genotypes 1-21 expand to 1032192 haplotype characters, above the budget 1000000",
      4_000_000),
-], ids=["star-forest-sets", "two-stars-complement", "table-pair-checks", "panel-characters"])
+], ids=["star-forest-sets", "two-stars-complement", "table-pair-checks",
+        "table-over-coloring-cap", "panel-characters"])
 def test_cli_refuses_past_the_work_budget_before_building(tmp_path, capsys, monkeypatch,
                                                           patch, argv, text, err, peak_bytes):
     """Scaled-down forms of inputs whose output grows faster than the input
-    exit 2 with the budget's message before the output is built."""
+    exit 2 with the budget's message, or with the cap of the oracle that
+    would run next, before the output is built."""
     if patch is not None:
         monkeypatch.setattr(patch[0], "WORK_BUDGET", patch[1])
     f = tmp_path / "input.txt"

@@ -1,7 +1,7 @@
 """The library ships what its CLI and solvers run: every public top-level def
-or class in src/minent, and every public method of its classes, is used by
-some other library code. Code that only the tests call (oracles, graph
-families) lives in tests/oracles.py."""
+or class in src/minent, every public method of its classes, and every public
+UPPER_CASE constant, is used by some other library code. Code that only the
+tests call (oracles, graph families) lives in tests/oracles.py."""
 
 import ast
 from pathlib import Path
@@ -31,6 +31,33 @@ def unreferenced_public_names() -> set[str]:
 
 def test_every_public_library_name_is_used_by_the_library():
     assert unreferenced_public_names() == set()
+
+
+def unread_public_constants() -> set[str]:
+    """module.NAME of each public UPPER_CASE name assigned at the top level
+    of a library module that no loaded Name or Attribute node of src/minent
+    outside its own assignment reads, so a cap that loses its last reader
+    cannot linger."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    reads = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
+    found = set()
+    for mod, tree in trees.items():
+        for d in tree.body:
+            targets = (d.targets if isinstance(d, ast.Assign)
+                       else [d.target] if isinstance(d, ast.AnnAssign) else [])
+            own = set(map(id, ast.walk(d)))
+            for t in targets:
+                if not isinstance(t, ast.Name) or t.id.startswith("_") or not t.id.isupper():
+                    continue
+                if not any((n.id if isinstance(n, ast.Name) else n.attr) == t.id
+                           for n in reads if id(n) not in own):
+                    found.add(f"{mod}.{t.id}")
+    return found
+
+
+def test_every_public_library_constant_is_read_by_the_library():
+    assert unread_public_constants() == set()
 
 
 # bench/tracing.py::METHODS wraps these two methods by name, and its getattr
