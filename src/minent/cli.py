@@ -106,7 +106,8 @@ def _cmd_graphent(args, text: str, report: dict) -> dict:
         h, w = graphent.graph_entropy(g, tol=args.tol)
         report.update(H_bits=h,
                       marginals=list(w.p),
-                      support=[list(s) for s, q in zip(w.sets, w.q) if q > 1e-12])
+                      support=[[v for v in range(g.n) if s >> v & 1]
+                               for s, q in zip(w.sets, w.q) if q > 1e-12])
         return {}
     if args.action == "split":
         gap = graphent.splitting_gap(g, tol=args.tol)

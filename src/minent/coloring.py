@@ -71,11 +71,11 @@ def check_oracle_cap(n: int, exact: bool) -> None:
         raise BudgetError(f"exact MIS oracle limited to {MIS_CAP} vertices")
 
 
-def exact_mis(g: Graph, vertices: Optional[Sequence[int]] = None) -> tuple[int, ...]:
+def exact_mis(g: Graph, vertices: Sequence[int]) -> tuple[int, ...]:
     """Maximum-cardinality (or, on a weighted graph, maximum-weight)
-    independent set of the subgraph induced by `vertices` (default: all of
-    g) by branch and bound; returns the lexicographically smallest optimum."""
-    vs = range(g.n) if vertices is None else sorted(vertices)
+    independent set of the subgraph induced by `vertices` by branch and
+    bound; returns the lexicographically smallest optimum."""
+    vs = sorted(vertices)
     n = len(vs)
     check_oracle_cap(n, exact=False)
     w = [1.0] * n if g.weights is None else [g.weights[v] for v in vs]

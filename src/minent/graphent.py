@@ -4,7 +4,6 @@ splitting identity, and the greedy-coloring-vs-entropy comparison."""
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -22,9 +21,10 @@ MAX_FW_STEPS = 200_000  # Frank-Wolfe steps before ConvergenceError
 class EntropyWitness:
     """Convex combination q over maximal independent sets and its per-vertex
     marginals p, a point of the stable set polytope; graph_entropy's H is
-    -(1/n) sum log2 p_v in bits."""
+    -(1/n) sum log2 p_v in bits. Each set is a bitmask, bit v = vertex v, in
+    enumerate_maximal_independent_sets's order; q[i] weighs sets[i]."""
 
-    sets: tuple[tuple[int, ...], ...]
+    sets: tuple[int, ...]
     q: tuple[float, ...]
     p: tuple[float, ...]
 
@@ -37,12 +37,14 @@ def _bits(mask: int):
         mask ^= bit
 
 
-def enumerate_maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:
+def enumerate_maximal_independent_sets(g: Graph) -> list[int]:
     """All maximal independent sets (Bron-Kerbosch with pivoting on the
-    non-adjacency relation), in canonical sorted order. More than MIS_LIMIT
-    sets, or sets times n above WORK_BUDGET incidence cells, raise
-    BudgetError as the first set past the cap is found, before any is
-    decoded."""
+    non-adjacency relation) as bitmasks, bit v = vertex v, in the order of
+    their sorted vertex tuples. The sets form an antichain, so no tuple is a
+    prefix of another, and tuple order is the descending order of the masks'
+    n-digit binary strings read from bit 0. More than MIS_LIMIT sets, or sets
+    times n above WORK_BUDGET incidence cells, raise BudgetError as the first
+    set past the cap is found."""
     n = g.n
     if n == 0:
         return []
@@ -76,11 +78,8 @@ def enumerate_maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:
             stack.append((r | bit, p & co_adj[v], x & co_adj[v]))
             p &= ~bit
             x |= bit
-
-    # through a list: tuples built straight from the generator held about
-    # 0.8 MB more peak RSS for 5,654 sets
-    sets = sorted(tuple(list(_bits(mask))) for mask in out)
-    return sets
+    out.sort(key=lambda mask: f"{mask:0{n}b}"[::-1], reverse=True)
+    return out
 
 
 def _pairwise_sum(terms: list[tuple[int, float, float]], lo: int, hi: int,
@@ -142,10 +141,12 @@ def graph_entropy(g: Graph, tol: float = 1e-6) -> tuple[float, EntropyWitness]:
     """H(G) = min over p in STAB(G) of -(1/n) sum_v log2 p_v, solved by
     pairwise Frank-Wolfe over the simplex of maximal independent sets with a
     line search that bisects the step to float precision; stops when the
-    conditional-gradient duality gap drops below tol (bits). A step over k
-    sets costs the two dense products inc @ (1/p) and inc.T @ q, a few O(k)
-    in-place passes into buffers allocated once per solve, and line-search
-    terms built in O(|S Δ S'|) from the two swapped sets' bitmasks."""
+    conditional-gradient duality gap drops below tol (bits). The k columns
+    are enumerate_maximal_independent_sets's bitmasks, unpacked once into
+    the incidence matrix inc. A step costs the two dense products
+    inc @ (1/p) and inc.T @ q, a few O(k) in-place passes into buffers
+    allocated once per solve, and line-search terms built in O(|S Δ S'|)
+    from the two swapped sets' bitmasks."""
     import numpy as np  # here: at module level every minent command would load it
     if not 0 < tol < math.inf:
         raise ValidationError("tol must be positive and finite")
@@ -154,10 +155,9 @@ def graph_entropy(g: Graph, tol: float = 1e-6) -> tuple[float, EntropyWitness]:
         raise ValidationError("empty graph")
     sets = enumerate_maximal_independent_sets(g)
     k = len(sets)
-    inc = np.zeros((k, n))
-    inc[np.repeat(np.arange(k), [len(s) for s in sets]),
-        np.fromiter(itertools.chain.from_iterable(sets), dtype=np.intp)] = 1.0
-    masks: list[int] = []  # the rows of inc as bitmasks, built at the first line search
+    nb = (n + 7) // 8
+    rows = np.frombuffer(b"".join(s.to_bytes(nb, "little") for s in sets), dtype=np.uint8)
+    inc = np.unpackbits(rows.reshape(k, nb), axis=1, count=n, bitorder="little").astype(float)
 
     q = np.full(k, 1.0 / k)
     p = inc.T @ q  # every vertex is in some maximal IS, so p > 0
@@ -186,15 +186,13 @@ def graph_entropy(g: Graph, tol: float = 1e-6) -> tuple[float, EntropyWitness]:
         away = int(shifted.argmax())
         if away == fw:
             break
-        if not masks:  # a solve that stops at its first gap test never reads them
-            masks = [sum(1 << v for v in s) for s in sets]
         # d_p = inc[fw] - inc[away] is +1 on fw ∖ away, -1 on away ∖ fw and
         # 0 elsewhere; both parts are nonempty, since distinct maximal
         # independent sets are incomparable. The set bits of the masks' xor,
         # lowest first, are those vertices in order, so no sort is needed.
-        pl, fw_mask = p.tolist(), masks[fw]
+        pl, fw_mask = p.tolist(), sets[fw]
         terms = [(v, pl[v], 1.0 if fw_mask >> v & 1 else -1.0)
-                 for v in _bits(fw_mask ^ masks[away])]
+                 for v in _bits(fw_mask ^ sets[away])]
         q_away = q.item(away)
         gamma = _line_search(terms, n, q_away)
         if gamma <= 0:

@@ -171,7 +171,7 @@ def dense_graph_entropy(g: Graph, tol: float = 1e-6):
     k = len(sets)
     inc = np.zeros((k, n))
     for i, s in enumerate(sets):
-        inc[i, list(s)] = 1.0
+        inc[i, [v for v in range(n) if s >> v & 1]] = 1.0
     q = np.full(k, 1.0 / k)
     p = inc.T @ q
 

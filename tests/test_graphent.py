@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import sys
@@ -25,10 +26,30 @@ def matching(pairs):
     return Graph(2 * pairs, [(2 * i, 2 * i + 1) for i in range(pairs)])
 
 
+def complete_multipartite(sizes, seed):
+    """The complete multipartite graph with parts of the given sizes over
+    shuffled labels, and its parts, its maximal independent sets, as sorted
+    tuples in sorted order."""
+    labels = list(range(sum(sizes)))
+    random.Random(seed).shuffle(labels)
+    parts = [tuple(sorted(labels[sum(sizes[:i]):sum(sizes[:i + 1])])) for i in range(len(sizes))]
+    part_of = {v: i for i, part in enumerate(parts) for v in part}
+    n = len(labels)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if part_of[u] != part_of[v]]), sorted(parts)
+
+
+def mis_tuples(g):
+    """enumerate_maximal_independent_sets's masks decoded, in its order."""
+    return [tuple(v for v in range(g.n) if s >> v & 1)
+            for s in enumerate_maximal_independent_sets(g)]
+
+
 def test_enumerate_mis():
-    assert enumerate_maximal_independent_sets(complete(3)) == [(0,), (1,), (2,)]
-    assert enumerate_maximal_independent_sets(Graph(3, [(0, 1), (1, 2)])) == [(0, 2), (1,)]
-    c5_sets = enumerate_maximal_independent_sets(C5)
+    assert enumerate_maximal_independent_sets(complete(3)) == [0b001, 0b010, 0b100]
+    assert enumerate_maximal_independent_sets(Graph(3, [(0, 1), (1, 2)])) == [0b101, 0b010]
+    assert mis_tuples(Graph(3, [(0, 1), (1, 2)])) == [(0, 2), (1,)]
+    c5_sets = mis_tuples(C5)
     assert len(c5_sets) == 5
     assert all(len(s) == 2 for s in c5_sets)
 
@@ -40,7 +61,7 @@ def test_enumerate_mis_depth_is_not_bounded_by_recursion_limit():
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(300)
     try:
-        sets = enumerate_maximal_independent_sets(Graph(n, [(0, 1)]))
+        sets = mis_tuples(Graph(n, [(0, 1)]))
     finally:
         sys.setrecursionlimit(old)
     assert sets == [(0,) + tuple(range(2, n)), tuple(range(1, n))]
@@ -91,7 +112,24 @@ def test_enumerate_mis_matches_brute_force():
         n = rng.randrange(1, 13)
         graphs.append(random_graph(n, rng.randrange(n * (n - 1) // 2 + 1), seed=seed))
     for g in graphs:
-        assert enumerate_maximal_independent_sets(g) == _brute_force_mis(g)
+        assert mis_tuples(g) == _brute_force_mis(g)
+
+
+def test_enumerate_mis_order_with_masks_wider_than_a_word():
+    # sorted vertex tuples are the masks' binary strings read from bit 0,
+    # descending; past 64 vertices a mask spans several machine words
+    assert mis_tuples(Graph(1, [])) == [(0,)]
+    for seed in range(20):
+        rng = random.Random(seed)
+        sizes = [rng.randrange(1, 40)]
+        while sum(sizes) < 65:
+            sizes.append(rng.randrange(1, 40))
+        g, parts = complete_multipartite(sizes, seed)
+        assert mis_tuples(g) == parts, sizes
+    for seed in range(3):
+        g = random_graph(70, 2000, seed=seed)
+        sets = mis_tuples(g)
+        assert len(sets) > 100 and sets == sorted(sets)
 
 
 # The path 0-1-2: its uniform start over the maximal sets {0, 2} and {1} is
@@ -221,13 +259,29 @@ def test_witness_feasibility():
         assert all(q >= -1e-12 for q in w.q)
         for s, q in zip(w.sets, w.q):
             if q > 1e-12:
-                assert g.is_independent_set(s)
+                assert g.is_independent_set([v for v in range(g.n) if s >> v & 1])
         # marginals are the stated convex combination
         for v in range(g.n):
-            pv = math.fsum(q for s, q in zip(w.sets, w.q) if v in s)
+            pv = math.fsum(q for s, q in zip(w.sets, w.q) if s >> v & 1)
             assert pv == pytest.approx(w.p[v], abs=1e-9)
         assert h == pytest.approx(
             -math.fsum(math.log2(p) for p in w.p) / g.n, abs=1e-9)
+
+
+def test_graph_entropy_of_complete_multipartite_graphs(tmp_path, capsys):
+    # H is the entropy of the part sizes, and every part is in the support;
+    # the masks span more than one machine word
+    g, sides = complete_multipartite([35, 35], seed=1)
+    f = tmp_path / "k35_35.g"
+    f.write_text(f"graph {g.n} {len(g.edges)}\n" + "".join(f"{u} {v}\n" for u, v in g.edges))
+    assert main(["graphent", "compute", "--input", str(f), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["H_bits"] == 1.0
+    assert report["support"] == [list(s) for s in sides]
+    g, parts = complete_multipartite([33, 33, 33], seed=2)
+    h, w = graph_entropy(g)
+    assert h == pytest.approx(math.log2(3), abs=1e-12)
+    assert [tuple(v for v in range(g.n) if s >> v & 1) for s in w.sets] == parts
 
 
 def test_graph_entropy_validation():
