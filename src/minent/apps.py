@@ -92,7 +92,8 @@ def haplotype_instance(panel: GenotypePanel) -> tuple[SetSystem, list[str]]:
         for bits in itertools.product("01", repeat=holes):
             members[template % bits].append(i)
     labels = sorted(members)
-    return SetSystem(len(panel.genotypes), [members[h] for h in labels]), labels
+    # each member list is dropped once SetSystem has read it
+    return SetSystem(len(panel.genotypes), map(members.pop, labels)), labels
 
 
 def confusability_graph(t: JointTable) -> Graph:

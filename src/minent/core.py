@@ -6,7 +6,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 WEIGHT_TOL = 1e-9
 WORK_BUDGET = 10 ** 7  # most exact-oracle assignments, estimator samples or built items
@@ -172,7 +172,7 @@ class SetSystem:
 
     __slots__ = ("universe_size", "sets", "_masks")
 
-    def __init__(self, universe_size: int, sets: Sequence[Sequence[int]]):
+    def __init__(self, universe_size: int, sets: Iterable[Sequence[int]]):
         if universe_size < 1:
             raise ValidationError("universe must be nonempty")
         n = universe_size
@@ -266,9 +266,9 @@ class IntervalSet:
 
     def __init__(self, intervals):
         norm = []
-        for (lo, hi) in intervals:
-            lo = Fraction(lo)
-            hi = Fraction(hi)
+        for (lo, hi) in intervals:  # an endpoint that is a Fraction is kept, not copied
+            lo = lo if type(lo) is Fraction else Fraction(lo)
+            hi = hi if type(hi) is Fraction else Fraction(hi)
             if not lo < hi:
                 raise ValidationError(f"interval ({lo},{hi}) is empty")
             norm.append((lo, hi))

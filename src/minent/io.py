@@ -70,6 +70,15 @@ def _id_reader(n: int, text: str):
     return read
 
 
+def _drain(items: list):
+    """Yield the items of a list in order, dropping each from the list as it
+    is yielded, so a reader that builds one form of its input from another
+    holds little more than one of them at a time."""
+    items.reverse()
+    while items:
+        yield items.pop()
+
+
 def _build(ln: int, cls, *args):
     """cls(*args), with a ValidationError reported as a ParseError at line ln."""
     try:
@@ -126,17 +135,16 @@ def _canonical_graph(text: str):
     seps = block.encode().translate(None, b"0123456789")
     if n > MAX_GRAPH_VERTICES or len(seps) != 2 * m or seps != b" \n" * m or len(rest) > 1:
         return None
-    toks = block.split()
-    if len(toks) != 2 * m:
-        return None
-    read = _id_reader(n, text)
-    try:
-        ids = iter(read(toks))
+    try:  # the 2m token strings are dropped once read
+        ids = _id_reader(n, text)(block.split())
     except ValueError:  # past int()'s digit limit: the per-line reader names the line
         return None
-    edges = list(zip(ids, ids))
+    if len(ids) != 2 * m:
+        return None
     weights = _weights(m + 2, rest[0], n) if rest else None
-    return _build(1, Graph, n, edges, weights)
+    del body, block  # Graph is built beside text and the pairs alone
+    ids = iter(ids)  # zip drops the id list once it has paired it
+    return _build(1, Graph, n, list(zip(ids, ids)), weights)
 
 
 def parse_graph(text: str) -> Graph:
@@ -170,7 +178,7 @@ def parse_setcover(text: str) -> SetSystem:
         raise ParseError(f"expected {k} set lines", ln)
     read = _id_reader(n, text)
     sets = []
-    for sln, raw in zip(nums, body):
+    for sln, raw in zip(nums, _drain(body)):
         try:
             sets.append(read(raw.split()))
         except ValueError:
@@ -178,7 +186,7 @@ def parse_setcover(text: str) -> SetSystem:
     ids = sum(map(len, sets))
     if n > ids:
         raise ParseError(f"{n} elements cannot be covered by {ids} element ids", ln)
-    return _build(ln, SetSystem, n, sets)
+    return _build(ln, SetSystem, n, _drain(sets))
 
 
 def serialize_setcover(s: SetSystem) -> str:
@@ -205,12 +213,12 @@ def parse_intervals(text: str) -> IntervalSet:
     if len(body) != n:
         raise ParseError(f"expected {n} interval lines", ln)
     ivs = []
-    for iln, raw in zip(nums, body):
+    for iln, raw in zip(nums, _drain(body)):
         toks = raw.split()
         if len(toks) != 2:
             raise ParseError("expected '<lo> <hi>'", iln)
         ivs.append((_parse_rational(toks[0], iln), _parse_rational(toks[1], iln)))
-    return _build(ln, IntervalSet, ivs)
+    return _build(ln, IntervalSet, _drain(ivs))
 
 
 def serialize_intervals(iv: IntervalSet) -> str:

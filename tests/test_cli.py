@@ -6,12 +6,12 @@ import re
 import subprocess
 import sys
 import time
-import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import minent
+from conftest import traced
 from minent import apps, graphent
 from minent import io as mio
 from minent.cli import _GEN_KINDS, main
@@ -78,6 +78,21 @@ def test_roundtrip_graph():
 def test_roundtrip_setcover():
     s = SetSystem(4, [[0, 1, 2], [2, 3], [3]])
     assert parse_setcover(serialize_setcover(s)) == s
+
+
+@pytest.mark.parametrize("parse, write, bound", [
+    # every line, every id list and the sets' tuples at once: 2.6
+    (parse_setcover, lambda: serialize_setcover(random_setcover(1500, 200, 3)), 1.8),
+    # the 2m token strings beside the graph being built: 3.5
+    (parse_graph, lambda: serialize_graph(random_graph(10 ** 4, 3 * 10 ** 4, 1)), 2.8),
+    # every line, then every interval and endpoint twice: 1.7
+    (parse_intervals, lambda: serialize_intervals(random_intervals(2000, 1)), 1.4),
+], ids=["setcover", "graph", "intervals"])
+def test_reader_holds_one_form_of_its_input(parse, write, bound):
+    """A reader's traced peak against what its result keeps; each comment
+    gives the ratio, and what was held, when the reader kept every form."""
+    _, peak, held = traced(parse, write())
+    assert peak < bound * held
 
 
 def test_roundtrip_intervals():
@@ -202,12 +217,7 @@ def test_random_connected_graph_matches_pair_list_sampler():
 
 def test_random_connected_graph_lists_no_pairs():
     # listing the 4.5 million pairs peaked at about 415 MB
-    tracemalloc.start()
-    try:
-        g = random_connected_graph(3000, 3000, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    g, peak, _ = traced(random_connected_graph, 3000, 3000, 1)
     assert g.m == 3000
     assert peak < 10_000_000
 
@@ -308,12 +318,7 @@ def test_cli_app_haplotype_refuses_a_wide_genotype_before_expanding_it(tmp_path,
     # about 208 MB
     f = tmp_path / "panel.txt"
     f.write_text("?" * 20 + "0101\n")
-    tracemalloc.start()
-    try:
-        code = main(["app", "haplotype", "--input", str(f)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak, _ = traced(main, ["app", "haplotype", "--input", str(f)])
     assert code == 2
     assert capsys.readouterr().err == ("error: genotypes 1-1 expand to 25165824 haplotype "
                                        "characters, above the budget 10000000\n")
@@ -378,12 +383,7 @@ def test_cli_refuses_past_the_work_budget_before_building(tmp_path, capsys, monk
     argv = argv + ["--input", str(f)]
     main(argv)  # the traced call below then allocates no module it imports
     capsys.readouterr()
-    tracemalloc.start()
-    try:
-        streams = _exit_and_streams(capsys, argv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    streams, peak, _ = traced(_exit_and_streams, capsys, argv)
     assert streams == (2, "", f"error: {err}\n")
     assert peak < peak_bytes
 

@@ -1,10 +1,10 @@
 import math
 import random
-import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from conftest import traced
 from minent import core
 from minent.core import (BudgetError, Graph, IntervalSet, SetSystem, ValidationError,
                          _edge_count, entropy_of_counts, interval_graph)
@@ -272,6 +272,12 @@ def test_interval_set_validation():
         IntervalSet([(2, 1)])
 
 
+def test_interval_set_keeps_fraction_endpoints():
+    lo = Fraction(1, 3)
+    (kept, made), = IntervalSet([(lo, 1)]).intervals
+    assert kept is lo and type(made) is Fraction and made == 1
+
+
 def test_disjoint_intervals_are_independent():
     iv = IntervalSet([(Fraction(i), Fraction(i) + Fraction(1, 2)) for i in range(5)])
     g = interval_graph(iv)
@@ -307,11 +313,6 @@ def test_complement_of_two_large_stars_is_refused_before_listing_a_pair():
     # leaves 9,997,157 non-edges, within the budget.
     edges = [(0, v) for v in range(1, 2237)] + [(2237, v) for v in range(2238, 4474)]
     g = Graph(4474, edges)
-    tracemalloc.start()
-    try:
-        with pytest.raises(BudgetError, match=r"has 10001629 edges, above the budget 10000000$"):
-            g.complement()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    refusal, peak, _ = traced(pytest.raises, BudgetError, g.complement)
+    refusal.match(r"has 10001629 edges, above the budget 10000000$")
     assert peak < 100_000

@@ -2,11 +2,11 @@ import itertools
 import math
 import random
 import time
-import tracemalloc
 from heapq import heapify, heappop, heapreplace
 
 import pytest
 
+from conftest import traced
 from minent.core import LOG2_E, BudgetError, FeasibilityError, SetSystem, entropy_of_counts
 from minent.io import random_setcover
 from minent.setcover import (CoverAssignment, _greedy_rounds, cover_entropy, dual_certificate,
@@ -347,12 +347,7 @@ def test_greedy_rounds_memory_on_singletons():
     # set system builds the masks, so it is built inside the window.
     n = 20_000
     sets = [[x] for x in range(n)]
-    tracemalloc.start()
-    try:
-        rounds = _greedy_rounds(SetSystem(n, sets))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rounds, peak, _ = traced(lambda: _greedy_rounds(SetSystem(n, sets)))
     assert [i for i, _ in rounds] == list(range(n))
     assert peak < 10 * 2 ** 20
 
